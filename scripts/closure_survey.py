@@ -29,7 +29,6 @@ class SurveyConfig:
     min_vertices: int = 3
     max_vertices: int = 8
     seed: int = 0
-    method: str = "dense"
 
 
 def survey(cfg: SurveyConfig) -> None:
@@ -43,7 +42,7 @@ def survey(cfg: SurveyConfig) -> None:
         t0 = perf_counter()
         for _ in range(cfg.graphs_per_size):
             g = random_connected_digraph(rng, size)
-            basis = lie_closure(edge_generators(g), method=cfg.method)
+            basis = lie_closure(edge_generators(g))
             closed = transitive_closure(g)
             closed_basis = LieBasis(
                 size, tuple(e.dense() for e in edge_generators(closed)))
@@ -64,11 +63,9 @@ def main() -> None:
     parser.add_argument("--min-vertices", type=int, default=3)
     parser.add_argument("--max-vertices", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--method", choices=("dense", "structural"),
-                        default="dense")
     args = parser.parse_args()
     survey(SurveyConfig(args.graphs_per_size, args.min_vertices,
-                        args.max_vertices, args.seed, args.method))
+                        args.max_vertices, args.seed))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ certificates, and plans controls. Submodules:
 - larc: the rank condition at a configuration and witness bases
 - dynamics: flows, simulation, steering, waypoint tracking
 - cli: the formctl command line front end
+
+The names imported below are the package's public API.
 """
 
 from . import errors
@@ -81,65 +83,3 @@ from .liealg import (
     span_equal,
     structural_bracket,
 )
-
-__all__ = [
-    "errors",
-    "RANK_TOL",
-    "AffineSubspace",
-    "Configuration",
-    "ControllableSetMembership",
-    "StratumChart",
-    "affine_hull",
-    "codimension_bound_holds",
-    "component_sign",
-    "configuration_rank",
-    "extend_simplex_with_point",
-    "extended_matrix_rank",
-    "find_nondegenerate_simplex",
-    "in_controllable_set",
-    "intersect_affine",
-    "load_configuration",
-    "local_chart",
-    "sample_configuration",
-    "stratum_dimension",
-    "subspace_distance",
-    "Digraph",
-    "ScdReport",
-    "StructuralKind",
-    "StructuralVerdict",
-    "coarse_scd",
-    "is_weakly_connected",
-    "load_graph",
-    "structural_verdict",
-    "transitive_closure",
-    "verify_scd_closure_commutation",
-    "ControlSchedule",
-    "GraphSchedule",
-    "SteerOptions",
-    "SteerResult",
-    "TrackOptions",
-    "TrackResult",
-    "Trajectory",
-    "flow_constant",
-    "simulate",
-    "steer",
-    "track_path",
-    "LarcReport",
-    "WitnessBasis",
-    "WitnessVector",
-    "construct_witness_basis",
-    "larc_passes",
-    "lie_algebra_at",
-    "lift_block_diagonal",
-    "EdgeGenerator",
-    "GeneratorCombination",
-    "LieBasis",
-    "ZeroRowSumMatrix",
-    "bracket",
-    "edge_generator",
-    "edge_generators",
-    "lie_closure",
-    "span_contains",
-    "span_equal",
-    "structural_bracket",
-]

@@ -73,7 +73,6 @@ class CommandRequest:
     N: int | None = None
     k: int | None = None
     kind: str = "uniform"
-    method: str = "dense"
     seed: int = 0
     tol: float = RANK_TOL
     steer_tol: float = 1e-8
@@ -81,7 +80,6 @@ class CommandRequest:
     dt: float = 0.05
     segments: int = 4
     epsilon: float = 0.01
-    debug_slow_path: bool = False
 
 
 def _read(path: str) -> str:
@@ -155,7 +153,7 @@ def _cmd_analyze(req: CommandRequest):
 def _cmd_closure(req: CommandRequest):
     g = _load_graph(req)
     closed = transitive_closure(g)
-    basis = lie_closure(edge_generators(g), method=req.method)
+    basis = lie_closure(edge_generators(g))
     closed_basis = LieBasis(g.num_vertices,
                             (e.dense() for e in edge_generators(closed)))
     match = span_equal(basis, closed_basis)
@@ -165,7 +163,6 @@ def _cmd_closure(req: CommandRequest):
             "generators": len(g.edges),
             "closure_edges": len(closed.edges),
             "closure_dimension": basis.dimension,
-            "method": req.method,
             "span_match": match,
         }
         return json.dumps(payload, indent=2), None
@@ -173,7 +170,6 @@ def _cmd_closure(req: CommandRequest):
         f"generators: {len(g.edges)}",
         f"closure edges: {len(closed.edges)}",
         f"closure dimension: {basis.dimension}",
-        f"method: {req.method}",
         f"span match: {verdict}",
     ]
     return "\n".join(lines), None
@@ -182,7 +178,7 @@ def _cmd_closure(req: CommandRequest):
 def _cmd_larc(req: CommandRequest):
     g = _load_graph(req)
     p = _load_config("--config", req.config)
-    report = lie_algebra_at(p, g, debug_slow_path=req.debug_slow_path, tol=req.tol)
+    report = lie_algebra_at(p, g, tol=req.tol)
     verdict = "PASS" if report.passes else "FAIL"
     if req.format == "json":
         payload = {
@@ -292,7 +288,6 @@ def _cmd_steer(req: CommandRequest):
         f"T={req.T:g}",
         f"seed: {req.seed}",
         f"target residual: {req.steer_tol:g}",
-        f"rank tolerance: {req.tol:g}",
         f"residual: {result.residual:.3e} (start {result.start_index}, "
         f"{result.iterations} iterations)",
         f"converged: {'yes' if result.residual <= req.steer_tol else 'no'}",
@@ -414,13 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
         lambda p: p.add_argument("--n", type=int,
                                  help="ambient dimension for the verdict"))
     add("closure", "Lie closure of the edge generators",
-        f_graph, f_format, f_out,
-        lambda p: p.add_argument("--method", choices=("dense", "structural"),
-                                 default="dense"))
+        f_graph, f_format, f_out)
     add("larc", "rank of the controllability Lie algebra at a configuration",
-        f_graph, f_config, f_format, f_out, f_tol,
-        lambda p: p.add_argument("--debug-slow-path", action="store_true",
-                                 help="cross-check with stacked vector fields"))
+        f_graph, f_config, f_format, f_out, f_tol)
     add("witness", "explicit spanning vector fields at a configuration",
         f_graph, f_config, f_format, f_out, f_tol)
     add("chart", "local chart on the rank stratum through a configuration",
@@ -439,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
         lambda p: p.add_argument("--controls", help="control schedule CSV"),
         lambda p: p.add_argument("--dt", type=float, default=0.05))
     add("steer", "two-point steering on a fixed graph",
-        f_graph, f_config, f_out, f_tol, f_seed,
+        f_graph, f_config, f_out, f_seed,
         lambda p: p.add_argument("--target", help="target configuration file"),
         lambda p: p.add_argument("--segments", type=int, default=4),
         lambda p: p.add_argument("--T", type=float, default=1.0),

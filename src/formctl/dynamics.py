@@ -304,7 +304,6 @@ class SteerOptions:
     fd_step: float = 1e-6
     multi_start: int = 4
     seed: int = 0
-    check_rank_condition: bool = True
 
 
 @dataclass(frozen=True)
@@ -349,13 +348,12 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
         raise InconsistentSchedule(
             f"graph has {g.num_vertices} vertices, configurations have {p0.N} agents")
     warns = []
-    if opts.check_rank_condition:
-        for name, p in (("initial", p0), ("target", p1)):
-            if not larc_passes(p, g):
-                msg = (f"{name} configuration fails the rank condition on this "
-                       "graph; steering may stall")
-                warns.append(msg)
-                warnings.warn(msg, stacklevel=2)
+    for name, p in (("initial", p0), ("target", p1)):
+        if not larc_passes(p, g):
+            msg = (f"{name} configuration fails the rank condition on this "
+                   "graph; steering may stall")
+            warns.append(msg)
+            warnings.warn(msg, stacklevel=2)
 
     edges = sorted(g.edges)
     h = T / segments

@@ -46,10 +46,6 @@ class DegenerateBracket(DomainError):
     """Symbolic bracket of a 2-cycle pair; caller must use the dense bracket."""
 
 
-class IntegerOverflow(FormctlError):
-    """An exact integer computation left the supported magnitude range."""
-
-
 # -- configspace -----------------------------------------------------------
 
 class EmptySubset(DomainError):

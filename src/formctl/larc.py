@@ -5,13 +5,11 @@ the closure algebra, where D(A) repeats A once per coordinate. By the
 closure characterization, their span is determined by the transitive closure
 of the interaction graph, and because the field of edge i->j is supported on
 agent i's coordinate slots alone, the span dimension decomposes into a sum
-of small per-agent ranks. That decomposition is the production path; the
-stacked-matrix rank is kept as a debug cross-check.
+of small per-agent ranks.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +29,10 @@ from .digraph import (
     structural_verdict,
     transitive_closure,
 )
-from .errors import (
-    InputFormatError,
-    NotInControllableSet,
-    SizeMismatch,
-    StructuralFailure,
-)
-from .liealg import EdgeGenerator, ZeroRowSumMatrix
+from .errors import NotInControllableSet, SizeMismatch, StructuralFailure
+from .liealg import ZeroRowSumMatrix
 
 __all__ = [
-    "LiftedField",
     "LarcReport",
     "WitnessVector",
     "WitnessBasis",
@@ -48,8 +40,6 @@ __all__ = [
     "lie_algebra_at",
     "larc_passes",
     "construct_witness_basis",
-    "format_larc_report_json",
-    "parse_larc_report_json",
     "format_witness_csv",
 ]
 
@@ -68,19 +58,6 @@ def _field_at(i: int, j: int, p: Configuration) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LiftedField:
-    """Control vector field of one closure edge."""
-
-    generator: EdgeGenerator
-
-    def evaluate(self, p: Configuration) -> np.ndarray:
-        if p.N != self.generator.size:
-            raise SizeMismatch(
-                f"field is over {self.generator.size} agents, configuration has {p.N}")
-        return _field_at(self.generator.i, self.generator.j, p)
-
-
-@dataclass(frozen=True)
 class LarcReport:
     """Span dimension of the control fields at one configuration."""
 
@@ -94,14 +71,12 @@ class LarcReport:
         return self.dimension == self.required
 
 
-def lie_algebra_at(p: Configuration, g: Digraph, *, debug_slow_path: bool = False,
-                   tol: float = RANK_TOL) -> LarcReport:
+def lie_algebra_at(p: Configuration, g: Digraph, *, tol: float = RANK_TOL) -> LarcReport:
     """Dimension of span{D(A) p : A in the closure algebra of g}.
 
     Per agent i, the fields of edges i->j in the transitive closure occupy
     agent i's coordinate slots only, so the total dimension is the sum over
-    agents of rank{x_j - x_i}. With debug_slow_path the stacked field matrix
-    is ranked directly and must agree.
+    agents of rank{x_j - x_i}.
     """
     if p.N != g.num_vertices:
         raise SizeMismatch(
@@ -116,15 +91,7 @@ def lie_algebra_at(p: Configuration, g: Digraph, *, debug_slow_path: bool = Fals
             continue
         diffs = pts[[j - 1 for j in nbrs]] - pts[i - 1]
         ranks.append(numeric_rank(diffs.T, tol))
-    dim = sum(ranks)
-    if debug_slow_path:
-        cols = [_field_at(i, j, p) for i, j in sorted(closed.edges)]
-        stacked = np.column_stack(cols) if cols else np.zeros((p.n * p.N, 0))
-        slow = numeric_rank(stacked, tol)
-        if slow != dim:
-            raise StructuralFailure(
-                f"per-agent rank sum {dim} disagrees with stacked rank {slow}")
-    return LarcReport(dim, p.n * p.N, tuple(ranks), len(closed.edges))
+    return LarcReport(sum(ranks), p.n * p.N, tuple(ranks), len(closed.edges))
 
 
 def larc_passes(p: Configuration, g: Digraph, tol: float = RANK_TOL) -> bool:
@@ -189,17 +156,8 @@ def construct_witness_basis(p: Configuration, g: Digraph,
         raise NotInControllableSet(
             f"maximal components {failing} are degenerate at this configuration")
 
-    skeleton_closed = transitive_closure(scd.skeleton)
+    closed = transitive_closure(g)
     maximal = sorted(scd.maximal_set)
-    # smallest-label maximal component reachable from each skeleton vertex
-    reach_choice: dict[int, int] = {}
-    for c in range(1, len(scd.components) + 1):
-        if c in scd.maximal_set:
-            reach_choice[c] = c
-            continue
-        reachable = [w for w in maximal if (c, w) in skeleton_closed.edges]
-        reach_choice[c] = reachable[0]
-
     simplices: dict[int, tuple[int, ...]] = {}
     vectors: list[WitnessVector] = []
     for w in maximal:
@@ -216,7 +174,11 @@ def construct_witness_basis(p: Configuration, g: Digraph,
     for j in range(1, p.N + 1):
         if j in in_simplex:
             continue
-        w = reach_choice[scd.component_of(j)]
+        w = scd.component_of(j)
+        if w not in scd.maximal_set:
+            # smallest-label maximal component that j reaches
+            w = next(m for m in maximal
+                     if (j, scd.components[m - 1][0]) in closed.edges)
         simplex_conf = p.subconfiguration(simplices[w])
         kept_local = extend_simplex_with_point(simplex_conf, p.agent(j), tol)
         for l in kept_local:
@@ -234,33 +196,6 @@ def construct_witness_basis(p: Configuration, g: Digraph,
 
 
 # -- serialization ---------------------------------------------------------
-
-def format_larc_report_json(report: LarcReport) -> str:
-    return json.dumps({
-        "dim": report.dimension,
-        "required": report.required,
-        "passes": report.passes,
-        "per_agent": list(report.per_agent_ranks),
-        "closure_edges": report.closure_edge_count,
-    }, indent=2) + "\n"
-
-
-def parse_larc_report_json(text: str) -> LarcReport:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"bad JSON: {exc}") from None
-    try:
-        report = LarcReport(int(obj["dim"]), int(obj["required"]),
-                            tuple(int(r) for r in obj["per_agent"]),
-                            int(obj["closure_edges"]))
-    except (KeyError, TypeError, ValueError):
-        raise InputFormatError("expected keys dim, required, per_agent, "
-                               "closure_edges") from None
-    if bool(obj.get("passes")) != report.passes:
-        raise InputFormatError("stored passes flag contradicts dim/required")
-    return report
-
 
 def format_witness_csv(basis: WitnessBasis) -> str:
     """One vector per row, its provenance label in the trailing column."""

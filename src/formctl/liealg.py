@@ -23,7 +23,6 @@ from .digraph import Digraph
 from .errors import (
     DegenerateBracket,
     EmptyGeneratorSet,
-    InputFormatError,
     InvalidIndices,
     NotZeroRowSum,
     RankMismatch,
@@ -39,14 +38,10 @@ __all__ = [
     "edge_generators",
     "bracket",
     "structural_bracket",
-    "dense_to_combination",
     "lie_closure",
     "span_equal",
     "span_contains",
     "IntRowEchelon",
-    "format_basis_text",
-    "parse_basis_text",
-    "load_basis",
 ]
 
 # int64 products are computed only when operands fit under this bound;
@@ -183,17 +178,6 @@ class GeneratorCombination:
         return f"GeneratorCombination({{{items}}})"
 
 
-def dense_to_combination(m: ZeroRowSumMatrix) -> GeneratorCombination:
-    """Expand m over edge generators; coefficients are the off-diagonal entries."""
-    n = m.size
-    terms = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j and m.array[i, j]:
-                terms[(i + 1, j + 1)] = int(m.array[i, j])
-    return GeneratorCombination(terms)
-
-
 def _bracket_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.dtype == object or b.dtype == object:
         return a @ b - b @ a
@@ -212,32 +196,30 @@ def bracket(a: ZeroRowSumMatrix, b: ZeroRowSumMatrix) -> ZeroRowSumMatrix:
     return ZeroRowSumMatrix(_bracket_arrays(a.array, b.array))
 
 
-def _structural_bracket_terms(i: int, j: int, p: int, q: int) -> dict[tuple[int, int], int]:
-    """Case table for [A_ij, A_pq]; raises on the 2-cycle pair."""
-    if (i, j) == (p, q):
-        return {}
-    if j == p and q == i:
-        raise DegenerateBracket(
-            f"[A_{i}{j}, A_{j}{i}] is not a combination of the two generators; "
-            "use the dense bracket")
-    if i == p:
-        return {(i, j): 1, (i, q): -1}
-    if j == p:
-        return {(i, q): 1, (i, j): -1}
-    if q == i:
-        return {(p, i): 1, (p, j): -1}
-    return {}
-
-
 def structural_bracket(a: EdgeGenerator, b: EdgeGenerator) -> GeneratorCombination:
-    """Symbolic commutator of two edge generators.
+    """Symbolic commutator of two edge generators, from the case table.
 
     Covers every index pattern except the 2-cycle pair (a = A_ij, b = A_ji),
     which raises DegenerateBracket; the dense bracket handles that case.
     """
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
-    return GeneratorCombination(_structural_bracket_terms(a.i, a.j, b.i, b.j))
+    i, j, p, q = a.i, a.j, b.i, b.j
+    if (i, j) == (p, q):
+        terms = {}
+    elif j == p and q == i:
+        raise DegenerateBracket(
+            f"[A_{i}{j}, A_{j}{i}] is not a combination of the two generators; "
+            "use the dense bracket")
+    elif i == p:
+        terms = {(i, j): 1, (i, q): -1}
+    elif j == p:
+        terms = {(i, q): 1, (i, j): -1}
+    elif q == i:
+        terms = {(p, i): 1, (p, j): -1}
+    else:
+        terms = {}
+    return GeneratorCombination(terms)
 
 
 # -- exact rank bookkeeping ------------------------------------------------
@@ -384,38 +366,13 @@ def span_equal(b1: LieBasis, b2: LieBasis) -> bool:
     return all(span_contains(b1, m) for m in b2.elements)
 
 
-def _expand_structural(ca: GeneratorCombination, cb: GeneratorCombination,
-                       size: int) -> ZeroRowSumMatrix:
-    """Bilinear expansion of [ca, cb] over the case table.
-
-    A 2-cycle generator pair inside the expansion falls back to the dense
-    bracket of that single pair, which keeps the result exact.
-    """
-    acc: dict[tuple[int, int], int] = {}
-    for (i, j), c in ca.terms.items():
-        for (p, q), d in cb.terms.items():
-            w = c * d
-            try:
-                pair_terms = _structural_bracket_terms(i, j, p, q)
-            except DegenerateBracket:
-                pair_terms = {(j, i): 1, (i, j): -1}  # [A_ij, A_ji] = A_ji - A_ij
-            for key, coeff in pair_terms.items():
-                acc[key] = acc.get(key, 0) + w * coeff
-    return GeneratorCombination(acc).dense(size)
-
-
-def lie_closure(generators: Iterable[EdgeGenerator | ZeroRowSumMatrix],
-                method: str = "dense") -> LieBasis:
+def lie_closure(generators: Iterable[EdgeGenerator | ZeroRowSumMatrix]) -> LieBasis:
     """Basis of the smallest bracket-closed subspace containing the generators.
 
     Worklist saturation: keep an exactly independent set, bracket every
     ordered pair once (first-in-first-out), and adjoin brackets that grow the
-    rank. Terminates at dimension <= N(N-1). ``method`` selects how brackets
-    are computed: "dense" multiplies matrices, "structural" expands over the
-    symbolic case table; both give the same basis.
+    rank. Terminates at dimension <= N(N-1).
     """
-    if method not in ("dense", "structural"):
-        raise ValueError(f"unknown method {method!r}")
     gens = list(generators)
     if not gens:
         raise EmptyGeneratorSet("lie_closure needs at least one generator")
@@ -435,82 +392,12 @@ def lie_closure(generators: Iterable[EdgeGenerator | ZeroRowSumMatrix],
             basis.append(m)
             k = len(basis) - 1
             pairs.extend((a, k) for a in range(k))
-    if method == "structural":
-        combos = [dense_to_combination(m) for m in basis]
 
     while pairs and ech.rank < ambient:
         a, b = pairs.popleft()
-        if method == "dense":
-            cand = ZeroRowSumMatrix(_bracket_arrays(basis[a].array, basis[b].array))
-        else:
-            cand = _expand_structural(combos[a], combos[b], size)
+        cand = ZeroRowSumMatrix(_bracket_arrays(basis[a].array, basis[b].array))
         if ech.insert(_offdiag_coords(cand.array)):
             basis.append(cand)
-            if method == "structural":
-                combos.append(dense_to_combination(cand))
             k = len(basis) - 1
             pairs.extend((x, k) for x in range(k))
     return LieBasis(size, basis)
-
-
-# -- text format -----------------------------------------------------------
-
-def format_basis_text(basis: LieBasis) -> str:
-    """``dim <d>`` header, then one matrix per blank-line-separated record."""
-    blocks = [f"dim {basis.dimension}"]
-    for m in basis.elements:
-        blocks.append("\n".join(" ".join(str(int(x)) for x in row) for row in m.array))
-    return "\n\n".join(blocks) + "\n"
-
-
-def parse_basis_text(text: str) -> LieBasis:
-    lines = text.splitlines()
-    k = 0
-    while k < len(lines) and not lines[k].strip():
-        k += 1
-    if k == len(lines):
-        raise InputFormatError("empty basis file")
-    header = lines[k].split()
-    if len(header) != 2 or header[0] != "dim":
-        raise InputFormatError(f"expected 'dim <d>' header, got {lines[k]!r}")
-    try:
-        dim = int(header[1])
-    except ValueError:
-        raise InputFormatError(f"bad dimension {header[1]!r}") from None
-    records: list[list[list[int]]] = []
-    current: list[list[int]] = []
-    for raw in lines[k + 1:]:
-        line = raw.strip()
-        if not line:
-            if current:
-                records.append(current)
-                current = []
-            continue
-        try:
-            current.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise InputFormatError(f"bad matrix row {raw!r}") from None
-    if current:
-        records.append(current)
-    if len(records) != dim:
-        raise InputFormatError(f"header says dim {dim} but found {len(records)} records")
-    if not records:
-        raise InputFormatError("a basis needs at least one matrix")
-    size = len(records[0])
-    mats = []
-    for rec in records:
-        if len(rec) != size or any(len(row) != size for row in rec):
-            raise InputFormatError(f"matrix records must all be {size}x{size}")
-        try:
-            mats.append(ZeroRowSumMatrix(rec))
-        except NotZeroRowSum as exc:
-            raise InputFormatError(str(exc)) from None
-    try:
-        return LieBasis(size, mats)
-    except RankMismatch as exc:
-        raise InputFormatError(str(exc)) from None
-
-
-def load_basis(path) -> LieBasis:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_basis_text(fh.read())

@@ -154,6 +154,23 @@ def same_span(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
     return ra == rb == span_rank(a + b)
 
 
+def stacked_field_rank(p, g: Digraph, tol: float = 1e-9) -> int:
+    """Rank of every control field D(A_ij) p over the reachable pairs of g.
+
+    The fields are stacked into one (nN x pairs) matrix and ranked as a whole,
+    with no per-agent split; singular values count above tol times the largest.
+    """
+    cols = []
+    for i, j in sorted(edge_reachability(g)):
+        col = np.zeros(p.n * p.N)
+        col[np.arange(p.n) * p.N + (i - 1)] = p.agent(j) - p.agent(i)
+        cols.append(col)
+    if not cols:
+        return 0
+    s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    return int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0
+
+
 def sink_component_graph(rng: random.Random, n_comps: int, comp_sizes: list[int]) -> Digraph:
     """Weakly connected digraph whose maximal components have the given sizes.
 

@@ -74,10 +74,9 @@ class TestAnalyze:
 
 
 class TestClosure:
-    @pytest.mark.parametrize("method", ["dense", "structural"])
-    def test_ring_closure_passes(self, workdir, method):
+    def test_ring_closure_passes(self, workdir):
         code, out, _ = invoke(CommandRequest(
-            "closure", graph=str(workdir / "ring.txt"), method=method))
+            "closure", graph=str(workdir / "ring.txt")))
         assert code == 0
         assert "closure edges: 6" in out
         assert "closure dimension: 6" in out
@@ -96,7 +95,7 @@ class TestLarc:
     def test_pass_line(self, workdir):
         code, out, _ = invoke(CommandRequest(
             "larc", graph=str(workdir / "k5.txt"),
-            config=str(workdir / "p0.json"), debug_slow_path=True))
+            config=str(workdir / "p0.json")))
         assert code == 0
         assert "dim 10 / 10: PASS" in out
         assert "rank tolerance" in out
@@ -214,6 +213,7 @@ class TestSteerSimulateTrack:
             segments=6, T=1.0, out=str(controls)))
         assert code == 0
         assert "converged: yes" in out
+        assert "rank tolerance" not in out  # steer ranks at the default tolerance
         schedule = parse_control_schedule_csv(controls.read_text())
         assert len(schedule.values) == 6
 
@@ -292,3 +292,10 @@ class TestEntryPoint:
     def test_main_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["explode"])
+
+    def test_steer_rejects_tol(self, workdir):
+        with pytest.raises(SystemExit) as exc:
+            main(["steer", "--graph", str(workdir / "k5.txt"),
+                  "--config", str(workdir / "p0.json"),
+                  "--target", str(workdir / "p1.json"), "--tol", "1e-3"])
+        assert exc.value.code == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formctl import digraph
 from formctl.configspace import Configuration, configuration_rank
 from formctl.digraph import Digraph
 from formctl.dynamics import (
@@ -357,6 +358,22 @@ class TestSteer:
         with pytest.warns(UserWarning, match="rank condition"):
             steer(g, coincident, target, 2, 1.0,
                   SteerOptions(max_iterations=3, multi_start=1))
+
+    def test_builds_closure_once(self, monkeypatch):
+        # both endpoint rank checks read one closure, so Tarjan runs once on g
+        calls = []
+        tarjan = digraph._tarjan_components
+
+        def counted(g):
+            calls.append(g)
+            return tarjan(g)
+
+        monkeypatch.setattr(digraph, "_tarjan_components", counted)
+        g = Digraph.complete(5)
+        rng = np.random.default_rng(1)
+        p0, p1 = (Configuration.from_agents(rng.normal(size=(5, 2))) for _ in range(2))
+        steer(g, p0, p1, 2, 1.0, SteerOptions(max_iterations=1, multi_start=1))
+        assert calls == [g]
 
     def test_forward_difference_matches_central(self):
         g, p0, p1 = tracked_pair(21)
