@@ -13,14 +13,23 @@ import random
 from dataclasses import dataclass
 from time import perf_counter
 
-from formctl.digraph import transitive_closure
+from formctl.digraph import Digraph, transitive_closure
 from formctl.liealg import LieBasis, edge_generators, lie_closure, span_equal
 
-import sys
-import os
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from helpers import random_connected_digraph  # noqa: E402
+def random_connected_digraph(rng: random.Random, n: int, extra: float = 0.3) -> Digraph:
+    """Random weakly connected digraph: oriented random tree plus extra edges."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = set()
+    for k in range(1, n):
+        a, b = order[rng.randrange(k)], order[k]
+        edges.add((a, b) if rng.random() < 0.5 else (b, a))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and rng.random() < extra:
+                edges.add((i, j))
+    return Digraph(n, edges)
 
 
 @dataclass

@@ -4,7 +4,8 @@ With controls held constant on an interval the state map is the exact flow
 p -> D(exp(h M)) p with M the weighted sum of edge generators, and D
 repeating a matrix once per coordinate. Only the small N-by-N exponential is
 ever formed. Steering composes these exact flows and solves the two-point
-problem by damped Gauss-Newton shooting on the stacked control values;
+problem by damped Gauss-Newton shooting on the stacked control values, with
+the exact Jacobian from Frechet derivatives of the segment exponentials;
 tracking replans leg by leg across graph switches.
 """
 
@@ -14,7 +15,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -194,6 +195,34 @@ def _control_matrix(g: Digraph, u: Mapping[tuple[int, int], float]) -> np.ndarra
     return m
 
 
+# each exponential is taken of hM / 2^k with 1-norm at most this and then
+# squared k times: scipy's expm picks high-degree Pade approximants up to
+# norm 5.4, and on the non-normal repelling flows those lose digits
+_SUBSTEP_NORM = 2.5
+
+
+def _segment_exponentials(hm: np.ndarray) -> np.ndarray:
+    """exp(hM) for each N x N matrix of the (S, N, N) stack hm.
+
+    Each matrix is scaled by an exact power of two to 1-norm at most
+    _SUBSTEP_NORM, exponentiated, and squared back, so all S scaled
+    exponentials come from one batched expm call. A stack that is not
+    finite gives NaN exponentials.
+    """
+    norms = np.abs(hm).sum(axis=-2).max(axis=-1).tolist()
+    if not all(map(math.isfinite, norms)):
+        return np.full_like(hm, np.nan)
+    squarings = [math.ceil(math.log2(x / _SUBSTEP_NORM)) if x > _SUBSTEP_NORM else 0
+                 for x in norms]
+    if any(squarings):
+        hm = np.ldexp(hm, -np.array(squarings)[:, None, None])
+    exps = expm(hm)
+    for s, k in enumerate(squarings):
+        for _ in range(k):
+            exps[s] = exps[s] @ exps[s]
+    return exps
+
+
 def _apply_transition(p: Configuration, e: np.ndarray) -> Configuration:
     """Image of p under the per-coordinate transition matrix e."""
     x = p.coords.reshape(p.n, p.N)
@@ -215,7 +244,7 @@ def flow_constant(g: Digraph, u: Mapping[tuple[int, int], float],
     m = _control_matrix(g, u)
     if m is None or h == 0.0:
         return p
-    return _apply_transition(p, expm(h * m))
+    return _apply_transition(p, _segment_exponentials((h * m)[None])[0])
 
 
 def _sample_grid(breakpoints: Sequence[float], dt: float, horizon: float) -> list[float]:
@@ -301,7 +330,6 @@ class SteerOptions:
     tolerance: float = 1e-8
     max_iterations: int = 200
     damping_init: float = 1e-3
-    fd_step: float = 1e-6
     multi_start: int = 4
     seed: int = 0
 
@@ -316,14 +344,63 @@ class SteerResult:
     warnings: tuple[str, ...] = ()
 
 
-def _compose_flows(edges: list[tuple[int, int]], g: Digraph, theta: np.ndarray,
-                   p0: Configuration, h: float, segments: int) -> Configuration:
-    e_count = len(edges)
-    p = p0
-    for s in range(segments):
-        u = dict(zip(edges, theta[s * e_count:(s + 1) * e_count]))
-        p = flow_constant(g, u, p, h)
-    return p
+class _ForwardPass(NamedTuple):
+    hm: np.ndarray        # (S, N, N) segment exponents h M_s
+    exps: np.ndarray      # (S, N, N) segment transitions E_s = exp(h M_s)
+    states: np.ndarray    # (S + 1, n, N) states x_0 .. x_S
+
+
+class _ShootingMap:
+    """theta -> states of the piecewise-constant flow from x0, on arrays only.
+
+    theta holds one control value per (segment, edge), segment-major over the
+    sorted edges. A state is an n x N array with one row per coordinate, the
+    layout of Configuration.coords, and a segment maps x to x E_s^T.
+    """
+
+    def __init__(self, g: Digraph, x0: np.ndarray, segments: int, h: float):
+        N = g.num_vertices
+        edges = sorted(g.edges)
+        # h A_e = h e_i (e_j - e_i)^T for the edge e = (i, j)
+        gens = np.zeros((len(edges), N, N))
+        for k, (i, j) in enumerate(edges):
+            gens[k, i - 1, i - 1] = -h
+            gens[k, i - 1, j - 1] = h
+        self.h_generators = gens
+        self.x0 = x0
+        self.segments = segments
+
+    def forward(self, theta: np.ndarray) -> _ForwardPass:
+        S = self.segments
+        hm = np.tensordot(theta.reshape(S, -1), self.h_generators, axes=1)
+        exps = _segment_exponentials(hm)
+        states = np.empty((S + 1,) + self.x0.shape)
+        states[0] = self.x0
+        for s in range(S):
+            states[s + 1] = states[s] @ exps[s].T
+        return _ForwardPass(hm, exps, states)
+
+    def jacobian(self, fwd: _ForwardPass) -> np.ndarray:
+        """d x_S / d theta, one column per (segment, edge), rows as coords.
+
+        Column (s, e) is x_{s-1} (Suf_s L(hM_s, hA_e))^T with the suffix
+        product Suf_s = E_S ... E_{s+1} and L the Frechet derivative of the
+        exponential. Every L comes from one batched expm of the Van Loan
+        blocks [[hM_s, hA_e], [0, hM_s]], whose upper-right block is L.
+        """
+        S, (E, N, _) = self.segments, self.h_generators.shape
+        blocks = np.zeros((S, E, 2 * N, 2 * N))
+        blocks[:, :, :N, :N] = fwd.hm[:, None]
+        blocks[:, :, N:, N:] = fwd.hm[:, None]
+        blocks[:, :, :N, N:] = self.h_generators
+        frechet = expm(blocks)[:, :, :N, N:]
+        suffix = np.empty_like(fwd.exps)
+        suffix[-1] = np.eye(N)
+        for s in range(S - 1, 0, -1):
+            suffix[s - 1] = suffix[s] @ fwd.exps[s]
+        d_exps = suffix[:, None] @ frechet
+        cols = fwd.states[:-1, None] @ d_exps.transpose(0, 1, 3, 2)
+        return cols.reshape(S * E, self.x0.size).T
 
 
 def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
@@ -332,11 +409,11 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
 
     Single shooting over segments equal intervals: the unknowns are one
     control value per (interval, edge), the objective the final-state
-    mismatch. Damped Gauss-Newton with forward-difference Jacobians; a zero
-    initialization first, then deterministic random restarts. The first
-    start reaching the tolerance wins; otherwise the best residual does,
-    ties to the earlier start. A stalled start (improvement below 1e-14 with
-    the residual still above tolerance) is reported, not raised.
+    mismatch. Damped Gauss-Newton with the exact Jacobian of the shooting
+    map; a zero initialization first, then deterministic random restarts.
+    The first start reaching the tolerance wins; otherwise the best residual
+    does, ties to the earlier start. A stalled start (improvement below
+    1e-14 with the residual still above tolerance) is reported, not raised.
     """
     if T <= 0:
         raise NegativeDuration(f"horizon must be positive, got {T}")
@@ -356,12 +433,9 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
             warnings.warn(msg, stacklevel=2)
 
     edges = sorted(g.edges)
-    h = T / segments
     dim = segments * len(edges)
-    target = p1.coords
-
-    def objective(theta: np.ndarray) -> np.ndarray:
-        return _compose_flows(edges, g, theta, p0, h, segments).coords - target
+    shooting = _ShootingMap(g, p0.coords.reshape(p0.n, p0.N), segments, T / segments)
+    target = p1.coords.reshape(p1.n, p1.N)
 
     best: tuple[float, int, np.ndarray, int, bool] | None = None
     for start in range(max(1, opts.multi_start)):
@@ -370,7 +444,7 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
         else:
             rng = np.random.default_rng((opts.seed, start))
             theta = rng.uniform(-0.5, 0.5, size=dim)
-        theta, res, iters, stalled = _gauss_newton(objective, theta, opts)
+        theta, res, iters, stalled = _gauss_newton(shooting, target, theta, opts)
         if best is None or res < best[0]:
             best = (res, start, theta, iters, stalled)
         if res <= opts.tolerance:
@@ -386,29 +460,25 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
                        no_progress, tuple(warns))
 
 
-def _gauss_newton(objective, theta: np.ndarray, opts: SteerOptions):
+def _gauss_newton(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
+                  opts: SteerOptions):
     """Damped Gauss-Newton; returns (theta, residual, iterations, stalled)."""
-    r = objective(theta)
-    res = float(np.linalg.norm(r))
+    r, res, jac = _evaluate(shooting, target, theta, opts.tolerance)
     lam = opts.damping_init
     last_improvement = math.inf
     iters = 0
-    while iters < opts.max_iterations and res > opts.tolerance:
+    while iters < opts.max_iterations and opts.tolerance < res < math.inf:
         iters += 1
-        jac = _fd_jacobian(objective, theta, r, opts.fd_step)
-        jtj = jac.T @ jac
-        rhs = -jac.T @ r
         try:
-            step = np.linalg.solve(jtj + lam * np.eye(len(theta)), rhs)
+            step = _damped_step(jac, r, lam)
         except np.linalg.LinAlgError:
             lam *= 10
             continue
         trial = theta + step
-        r_trial = objective(trial)
-        res_trial = float(np.linalg.norm(r_trial))
+        r_trial, res_trial, jac_trial = _evaluate(shooting, target, trial, opts.tolerance)
         if res_trial < res:
             last_improvement = res - res_trial
-            theta, r, res = trial, r_trial, res_trial
+            theta, r, res, jac = trial, r_trial, res_trial, jac_trial
             lam = max(lam / 10, 1e-15)
         else:
             lam *= 10
@@ -418,14 +488,37 @@ def _gauss_newton(objective, theta: np.ndarray, opts: SteerOptions):
     return theta, res, iters, stalled
 
 
-def _fd_jacobian(objective, theta: np.ndarray, r0: np.ndarray, rel_step: float) -> np.ndarray:
-    jac = np.empty((r0.size, theta.size))
-    for c in range(theta.size):
-        delta = rel_step * max(1.0, abs(theta[c]))
-        bumped = theta.copy()
-        bumped[c] += delta
-        jac[:, c] = (objective(bumped) - r0) / delta
-    return jac
+def _damped_step(jac: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (J^T J + lam I) step = -J^T r by the normal equations.
+
+    lam is added to the diagonal in place, and the dim x dim matrices are
+    freed on return, before the trial point's Jacobian stack is built.
+    """
+    damped = jac.T @ jac
+    damped[np.diag_indices_from(damped)] += lam
+    return np.linalg.solve(damped, -jac.T @ r)
+
+
+def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
+              tolerance: float):
+    """Residual vector, its norm and the Jacobian at theta.
+
+    The norm reads inf when the flow or the Jacobian is not finite (the
+    exponentials overflowed), so such a trial is rejected like one that does
+    not improve. The Jacobian is None once the residual meets the tolerance.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        fwd = shooting.forward(theta)
+        r = (fwd.states[-1] - target).reshape(-1)
+        res = float(np.linalg.norm(r))
+        if not math.isfinite(res):
+            return r, math.inf, None
+        if res <= tolerance:
+            return r, res, None
+        jac = shooting.jacobian(fwd)
+    if not np.all(np.isfinite(jac)):
+        return r, math.inf, None
+    return r, res, jac
 
 
 # -- waypoint tracking -----------------------------------------------------
@@ -510,9 +603,11 @@ def track_path(schedule: GraphSchedule,
         for k, u in enumerate(result.controls.values):
             grid.append(t_a + result.controls.grid[k + 1])
             values.append(u)
-        current = _compose_flows(sorted(g.edges), g, _flatten(result.controls, g),
-                                 current, (t_b - t_a) / opts.segments_per_leg,
-                                 opts.segments_per_leg)
+        shooting = _ShootingMap(g, current.coords.reshape(current.n, current.N),
+                                opts.segments_per_leg,
+                                (t_b - t_a) / opts.segments_per_leg)
+        final = shooting.forward(_flatten(result.controls, g)).states[-1]
+        current = Configuration(current.n, current.N, final.reshape(-1))
         deviations.append(float(np.linalg.norm(current.coords - p_target.coords)))
 
     controls = ControlSchedule(tuple(grid), tuple(values))

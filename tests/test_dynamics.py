@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formctl import digraph
+from formctl import digraph, dynamics
 from formctl.configspace import Configuration, configuration_rank
 from formctl.digraph import Digraph
 from formctl.dynamics import (
@@ -157,6 +157,7 @@ class TestFlowConstant:
             flow_constant(g, {(1, 2): 1.0}, p3, 0.5)
 
     @given(st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.integers(0, 10 ** 6))
+    @example(1.0, 2.0, 65)   # repelling controls, |x| near 625 at h = 3
     @settings(max_examples=30, deadline=None)
     def test_semigroup(self, h1, h2, seed):
         rng = np.random.default_rng(seed)
@@ -166,6 +167,25 @@ class TestFlowConstant:
         ab = flow_constant(g, u, flow_constant(g, u, p, h1), h2)
         once = flow_constant(g, u, p, h1 + h2)
         assert np.max(np.abs(ab.coords - once.coords)) < 1e-10
+
+    @pytest.mark.parametrize("seed,h", [(65, 1.0), (65, 3.0), (7, 2.0), (1234, 1.5)])
+    def test_matches_high_precision_reference(self, seed, h):
+        # 40-digit exponential; the error bound is relative to the state's scale
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        g = Digraph.complete(4)
+        u = {e: float(rng.uniform(-1, 1)) for e in g.edges}
+        p = Configuration.from_agents(rng.normal(size=(4, 2)))
+        m = np.zeros((4, 4))
+        for (i, j), w in u.items():
+            m[i - 1, i - 1] -= w
+            m[i - 1, j - 1] += w
+        with mpmath.workdps(40):
+            e = mpmath.expm(mpmath.matrix((h * m).tolist()))
+            x = mpmath.matrix(p.coords.reshape(2, 4).tolist())
+            ref = np.array((x * e.T).tolist(), dtype=float).reshape(-1)
+        got = flow_constant(g, u, p, h).coords
+        assert np.max(np.abs(got - ref)) <= 5e-14 * max(1.0, np.max(np.abs(ref)))
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
@@ -375,32 +395,66 @@ class TestSteer:
         steer(g, p0, p1, 2, 1.0, SteerOptions(max_iterations=1, multi_start=1))
         assert calls == [g]
 
-    def test_forward_difference_matches_central(self):
-        g, p0, p1 = tracked_pair(21)
+    def test_exact_jacobian_matches_central_differences(self):
+        g, p0, _ = tracked_pair(21)
         edges = sorted(g.edges)
         segments, h = 3, 1.0 / 3
         rng = np.random.default_rng(4)
         theta = rng.uniform(-0.3, 0.3, size=segments * len(edges))
+        shooting = dynamics._ShootingMap(g, p0.coords.reshape(p0.n, p0.N), segments, h)
+        exact = shooting.jacobian(shooting.forward(theta))
 
         def phi(th):
             p = p0
             for s in range(segments):
                 u = dict(zip(edges, th[s * len(edges):(s + 1) * len(edges)]))
                 p = flow_constant(g, u, p, h)
-            return p.coords - p1.coords
+            return p.coords
 
-        r0 = phi(theta)
-        forward = np.empty((r0.size, theta.size))
-        central = np.empty_like(forward)
+        central = np.empty_like(exact)
         for c in range(theta.size):
             d = 1e-6 * max(1.0, abs(theta[c]))
             up, down = theta.copy(), theta.copy()
             up[c] += d
             down[c] -= d
-            forward[:, c] = (phi(up) - r0) / d
             central[:, c] = (phi(up) - phi(down)) / (2 * d)
-        scale = np.max(np.abs(central))
-        assert np.max(np.abs(forward - central)) < 1e-5 * max(1.0, scale)
+        assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(central))
+
+    def test_expm_calls_per_iteration_do_not_grow_with_edges(self, monkeypatch):
+        # one batched call for the segment flows and one for the Jacobian
+        calls = []
+        expm = dynamics.expm
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(dynamics, "expm", counted)
+        for N in (3, 6):
+            calls.clear()
+            rng = np.random.default_rng(N)
+            p0, p1 = (Configuration.from_agents(rng.normal(size=(N, 2))) for _ in range(2))
+            result = steer(Digraph.complete(N), p0, p1, 3, 1.0,
+                           SteerOptions(max_iterations=4, multi_start=1))
+            assert result.iterations == 4
+            assert result.iterations + 2 <= len(calls) <= 2 * result.iterations + 2
+
+    def test_overflowing_trial_is_rejected_not_raised(self):
+        # a trial step from this collinear, far target overflows the flow
+        g = Digraph.complete(4)
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            a = rng.standard_normal((4, 2))
+            d = rng.standard_normal(2)
+            t = rng.standard_normal(4)
+        p0 = Configuration.from_agents(a)
+        p1 = Configuration.from_agents(30 * np.outer(t, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)      # collinear target
+            warnings.simplefilter("error", RuntimeWarning)    # overflow stays inside
+            result = steer(g, p0, p1, 2, 1.0, SteerOptions(multi_start=2))
+        assert math.isfinite(result.residual)
+        assert result.residual < np.linalg.norm(p1.coords - p0.coords)
 
     def test_stall_is_reported_not_raised(self):
         g, p0, p1 = tracked_pair(2)
