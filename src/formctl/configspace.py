@@ -555,7 +555,7 @@ def parse_configuration_json(text: str) -> Configuration:
     if not isinstance(obj, dict) or not {"n", "N", "agents"} <= set(obj):
         raise InputFormatError('expected an object with keys "n", "N", "agents"')
     n, N, agents = obj["n"], obj["N"], obj["agents"]
-    if not isinstance(n, int) or not isinstance(N, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, N)):
         raise InputFormatError('"n" and "N" must be integers')
     if not isinstance(agents, list) or len(agents) != N:
         raise InputFormatError(f'"agents" must list exactly N = {N} rows')
@@ -563,10 +563,9 @@ def parse_configuration_json(text: str) -> Configuration:
     for row in agents:
         if not isinstance(row, list) or len(row) != n:
             raise InputFormatError(f"every agent needs exactly n = {n} coordinates")
-        try:
-            rows.append([float(x) for x in row])
-        except (TypeError, ValueError):
-            raise InputFormatError("agent coordinates must be numbers") from None
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
+            raise InputFormatError("agent coordinates must be numbers")
+        rows.append([float(x) for x in row])
     _check_finite_table(rows)
     return Configuration.from_agents(np.array(rows).reshape(N, n))
 

@@ -95,6 +95,10 @@ class Digraph:
     def _closure(self) -> "Digraph":
         return _closure_of(self)
 
+    @_cached
+    def _weakly_connected(self) -> bool:
+        return is_weakly_connected(self)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
@@ -245,7 +249,7 @@ def coarse_scd(g: Digraph) -> ScdReport:
 
     Raises NotWeaklyConnected when the undirected shadow is disconnected.
     """
-    if not is_weakly_connected(g):
+    if not g._weakly_connected:
         raise NotWeaklyConnected(f"graph on {g.num_vertices} vertices is not weakly connected")
     return ScdReport(g, tuple(sorted(g._components)))
 

@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -261,16 +261,12 @@ def _sample_grid(breakpoints: Sequence[float], dt: float, horizon: float) -> lis
     return out
 
 
-def simulate(schedule: GraphSchedule,
-             controls: ControlSchedule | Callable[[float, Configuration],
-                                                  Mapping[tuple[int, int], float]],
+def simulate(schedule: GraphSchedule, controls: ControlSchedule,
              p0: Configuration, dt: float) -> Trajectory:
     """Integrate the switched system, sampling at every breakpoint and every dt.
 
-    A ControlSchedule is piecewise constant and integrates exactly through
-    matrix exponentials. A callable is treated as state feedback
-    u = controls(t, p) and integrated with classical fourth-order steps of at
-    most dt, split so no step straddles a breakpoint.
+    The controls are piecewise constant, so each sample interval integrates
+    exactly through a matrix exponential.
     """
     if p0.N != schedule.num_vertices:
         raise InconsistentSchedule(
@@ -280,10 +276,8 @@ def simulate(schedule: GraphSchedule,
         raise StepTooLarge(f"dt must be positive, got {dt}")
     breakpoints = [0.0, schedule.horizon]
     breakpoints.extend(schedule.switch_times)
-    exact = isinstance(controls, ControlSchedule)
-    if exact:
-        controls.validate_against(schedule)
-        breakpoints.extend(controls.grid)
+    controls.validate_against(schedule)
+    breakpoints.extend(controls.grid)
     breakpoints = sorted(set(breakpoints))
     min_gap = min(b - a for a, b in zip(breakpoints, breakpoints[1:]))
     if dt > min_gap * (1 + 1e-9):
@@ -295,30 +289,10 @@ def simulate(schedule: GraphSchedule,
     current = p0
     for a, b in zip(times, times[1:]):
         h = b - a
-        g = schedule.active(a)
-        if exact:
-            u = controls.values[controls.interval_of(a + h / 2)]
-            current = flow_constant(g, u, current, h)
-        else:
-            current = _rk4_step(g, controls, current, a, h)
+        u = controls.values[controls.interval_of(a + h / 2)]
+        current = flow_constant(schedule.active(a), u, current, h)
         states.append(current)
     return Trajectory(tuple(times), tuple(states))
-
-
-def _rk4_step(g: Digraph, feedback, p: Configuration, t: float, h: float) -> Configuration:
-    def deriv(tt: float, coords: np.ndarray) -> np.ndarray:
-        conf = Configuration(p.n, p.N, coords)
-        m = _control_matrix(g, feedback(tt, conf))
-        if m is None:
-            return np.zeros_like(coords)
-        return (coords.reshape(p.n, p.N) @ m.T).reshape(-1)
-
-    y = p.coords
-    k1 = deriv(t, y)
-    k2 = deriv(t + h / 2, y + h / 2 * k1)
-    k3 = deriv(t + h / 2, y + h / 2 * k2)
-    k4 = deriv(t + h, y + h * k3)
-    return Configuration(p.n, p.N, y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 # -- steering --------------------------------------------------------------

@@ -119,20 +119,15 @@ class EdgeGenerator:
                 f"edge {self.i}->{self.j} out of range 1..{self.size}")
 
     def dense(self) -> ZeroRowSumMatrix:
-        return edge_generator(self.i, self.j, self.size)
+        arr = np.zeros((self.size, self.size), dtype=np.int64)
+        arr[self.i - 1, self.i - 1] = -1
+        arr[self.i - 1, self.j - 1] = 1
+        return ZeroRowSumMatrix(arr)
 
 
 def edge_generator(i: int, j: int, size: int) -> ZeroRowSumMatrix:
     """The matrix -e_i e_i^T + e_i e_j^T (1-based indices)."""
-    gen = EdgeGenerator.__new__(EdgeGenerator)
-    object.__setattr__(gen, "i", i)
-    object.__setattr__(gen, "j", j)
-    object.__setattr__(gen, "size", size)
-    EdgeGenerator.__post_init__(gen)
-    arr = np.zeros((size, size), dtype=np.int64)
-    arr[i - 1, i - 1] = -1
-    arr[i - 1, j - 1] = 1
-    return ZeroRowSumMatrix(arr)
+    return EdgeGenerator(i, j, size).dense()
 
 
 def edge_generators(g: Digraph) -> list[EdgeGenerator]:

@@ -1,12 +1,13 @@
 """Command line behaviors: reports, artifacts, exit codes."""
 
+import contextlib
 import io
 import json
 
 import numpy as np
 import pytest
 
-from formctl.cli import CommandRequest, main, run
+from formctl.cli import main
 from formctl.configspace import (
     format_configuration_json,
     load_configuration,
@@ -16,10 +17,20 @@ from formctl.digraph import Digraph, format_graph_text
 from formctl.dynamics import parse_control_schedule_csv, parse_trajectory_csv
 
 
-def invoke(request):
+def invoke(*argv):
+    """Exit code, stdout and stderr of ``formctl argv``."""
     out, err = io.StringIO(), io.StringIO()
-    code = run(request, stdout=out, stderr=err)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
     return code, out.getvalue(), err.getvalue()
+
+
+def refused(*argv):
+    """Exit code and stderr of a command line that argparse refuses."""
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main([str(a) for a in argv])
+    return exc.value.code, err.getvalue()
 
 
 @pytest.fixture
@@ -36,8 +47,7 @@ def workdir(tmp_path):
 
 class TestAnalyze:
     def test_text_report(self, workdir):
-        code, out, _ = invoke(CommandRequest(
-            "analyze", graph=str(workdir / "two.txt"), n=2))
+        code, out, _ = invoke("analyze", "--graph", workdir / "two.txt", "--n", 2)
         assert code == 0
         assert "components: 3" in out
         assert "maximal components: 1, 2" in out
@@ -45,8 +55,8 @@ class TestAnalyze:
         assert "offending components: 1, 2" in out
 
     def test_json_report(self, workdir):
-        code, out, _ = invoke(CommandRequest(
-            "analyze", graph=str(workdir / "two.txt"), n=2, format="json"))
+        code, out, _ = invoke("analyze", "--graph", workdir / "two.txt", "--n", 2,
+                              "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["maximal_components"] == [1, 2]
@@ -54,37 +64,34 @@ class TestAnalyze:
         assert payload["offending_components"] == [1, 2]
 
     def test_without_n_no_verdict(self, workdir):
-        code, out, _ = invoke(CommandRequest(
-            "analyze", graph=str(workdir / "ring.txt")))
+        code, out, _ = invoke("analyze", "--graph", workdir / "ring.txt")
         assert code == 0
         assert "verdict" not in out
 
     def test_report_to_file(self, workdir):
         target = workdir / "report.txt"
-        code, out, _ = invoke(CommandRequest(
-            "analyze", graph=str(workdir / "ring.txt"), out=str(target)))
+        code, out, _ = invoke("analyze", "--graph", workdir / "ring.txt",
+                              "--out", target)
         assert code == 0
         assert "components: 1" in target.read_text()
 
     def test_missing_file_is_exit_2(self, workdir):
-        code, _, err = invoke(CommandRequest(
-            "analyze", graph=str(workdir / "absent.txt")))
+        code, _, err = invoke("analyze", "--graph", workdir / "absent.txt")
         assert code == 2
         assert "error:" in err
 
 
 class TestClosure:
     def test_ring_closure_passes(self, workdir):
-        code, out, _ = invoke(CommandRequest(
-            "closure", graph=str(workdir / "ring.txt")))
+        code, out, _ = invoke("closure", "--graph", workdir / "ring.txt")
         assert code == 0
         assert "closure edges: 6" in out
         assert "closure dimension: 6" in out
         assert "span match: PASS" in out
 
     def test_json(self, workdir):
-        code, out, _ = invoke(CommandRequest(
-            "closure", graph=str(workdir / "ring.txt"), format="json"))
+        code, out, _ = invoke("closure", "--graph", workdir / "ring.txt",
+                              "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["span_match"] is True
@@ -93,9 +100,8 @@ class TestClosure:
 
 class TestLarc:
     def test_pass_line(self, workdir):
-        code, out, _ = invoke(CommandRequest(
-            "larc", graph=str(workdir / "k5.txt"),
-            config=str(workdir / "p0.json")))
+        code, out, _ = invoke("larc", "--graph", workdir / "k5.txt",
+                              "--config", workdir / "p0.json")
         assert code == 0
         assert "dim 10 / 10: PASS" in out
         assert "rank tolerance" in out
@@ -104,14 +110,12 @@ class TestLarc:
         flat = workdir / "flat.json"
         flat.write_text(json.dumps(
             {"n": 2, "N": 5, "agents": [[1.0, 1.0]] * 5}))
-        code, out, _ = invoke(CommandRequest(
-            "larc", graph=str(workdir / "k5.txt"), config=str(flat)))
+        code, out, _ = invoke("larc", "--graph", workdir / "k5.txt", "--config", flat)
         assert code == 0
         assert "FAIL" in out
 
     def test_missing_config_is_exit_2(self, workdir):
-        code, _, err = invoke(CommandRequest(
-            "larc", graph=str(workdir / "k5.txt")))
+        code, err = refused("larc", "--graph", workdir / "k5.txt")
         assert code == 2
         assert "--config" in err
 
@@ -119,9 +123,8 @@ class TestLarc:
 class TestWitness:
     def test_writes_csv(self, workdir):
         target = workdir / "witness.csv"
-        code, out, _ = invoke(CommandRequest(
-            "witness", graph=str(workdir / "k5.txt"),
-            config=str(workdir / "p0.json"), out=str(target)))
+        code, out, _ = invoke("witness", "--graph", workdir / "k5.txt",
+                              "--config", workdir / "p0.json", "--out", target)
         assert code == 0
         assert "witness vectors: 10" in out
         rows = [r for r in target.read_text().splitlines() if r.strip()]
@@ -131,8 +134,7 @@ class TestWitness:
     def test_refuses_small_components(self, workdir):
         p = workdir / "p3.json"
         p.write_text(format_configuration_json(sample_configuration(2, 3, seed=1)))
-        code, _, err = invoke(CommandRequest(
-            "witness", graph=str(workdir / "ring.txt"), config=str(p)))
+        code, _, err = invoke("witness", "--graph", workdir / "ring.txt", "--config", p)
         assert code == 1
         assert "controllable-set-disconnected" in err
         assert "offending" in err
@@ -140,8 +142,7 @@ class TestWitness:
 
 class TestChart:
     def test_full_rank_report(self, workdir):
-        code, out, _ = invoke(CommandRequest(
-            "chart", config=str(workdir / "p0.json")))
+        code, out, _ = invoke("chart", "--config", workdir / "p0.json")
         assert code == 0
         assert "stratum k: 2" in out
         assert "chart dimension: 10" in out
@@ -151,14 +152,13 @@ class TestChart:
         p = workdir / "line.json"
         p.write_text(format_configuration_json(
             sample_configuration(2, 4, kind="rank_k", k=1, seed=5)))
-        code, out, _ = invoke(CommandRequest("chart", config=str(p)))
+        code, out, _ = invoke("chart", "--config", p)
         assert code == 0
         assert "stratum k: 1" in out
         assert "forced zeros: 2" in out
 
     def test_wrong_k_is_domain_error(self, workdir):
-        code, _, err = invoke(CommandRequest(
-            "chart", config=str(workdir / "p0.json"), k=1))
+        code, _, err = invoke("chart", "--config", workdir / "p0.json", "--k", 1)
         assert code == 1
         assert "error:" in err
 
@@ -166,77 +166,72 @@ class TestChart:
 class TestSample:
     def test_json_artifact_feeds_other_commands(self, workdir):
         target = workdir / "fresh.json"
-        code, out, _ = invoke(CommandRequest(
-            "sample", n=2, N=5, seed=11, out=str(target)))
+        code, out, _ = invoke("sample", "--n", 2, "--N", 5, "--seed", 11,
+                              "--out", target)
         assert code == 0
         assert "seed=11" in out
         p = load_configuration(str(target))
         assert (p.n, p.N) == (2, 5)
-        code2, out2, _ = invoke(CommandRequest(
-            "larc", graph=str(workdir / "k5.txt"), config=str(target)))
+        code2, out2, _ = invoke("larc", "--graph", workdir / "k5.txt", "--config", target)
         assert code2 == 0 and "PASS" in out2
 
     def test_csv_artifact(self, workdir):
         target = workdir / "fresh.csv"
-        code, _, _ = invoke(CommandRequest(
-            "sample", n=3, N=4, seed=2, out=str(target), format="csv"))
+        code, _, _ = invoke("sample", "--n", 3, "--N", 4, "--seed", 2,
+                            "--out", target, "--format", "csv")
         assert code == 0
         p = load_configuration(str(target))
         assert (p.n, p.N) == (3, 4)
 
     def test_stdout_json_when_no_out(self):
-        code, out, _ = invoke(CommandRequest("sample", n=2, N=3, seed=0,
-                                             format="json"))
+        code, out, _ = invoke("sample", "--n", 2, "--N", 3, "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["N"] == 3
 
     def test_deterministic(self, workdir):
         a, b = workdir / "a.json", workdir / "b.json"
-        invoke(CommandRequest("sample", n=2, N=6, seed=9, out=str(a)))
-        invoke(CommandRequest("sample", n=2, N=6, seed=9, out=str(b)))
+        invoke("sample", "--n", 2, "--N", 6, "--seed", 9, "--out", a)
+        invoke("sample", "--n", 2, "--N", 6, "--seed", 9, "--out", b)
         assert a.read_text() == b.read_text()
 
     def test_rank_k_needs_valid_k(self):
-        code, _, err = invoke(CommandRequest(
-            "sample", n=2, N=4, kind="rank_k", k=7))
+        code, _, err = invoke("sample", "--n", 2, "--N", 4, "--kind", "rank_k", "--k", 7)
         assert code == 1
         assert "error:" in err
 
 
 class TestSteerSimulateTrack:
-    def test_steer_then_simulate_round_trip(self, workdir):
+    def steer_controls(self, workdir, segments):
         controls = workdir / "controls.csv"
-        code, out, _ = invoke(CommandRequest(
-            "steer", graph=str(workdir / "k5.txt"),
-            config=str(workdir / "p0.json"), target=str(workdir / "p1.json"),
-            segments=6, T=1.0, out=str(controls)))
+        code, out, _ = invoke("steer", "--graph", workdir / "k5.txt",
+                              "--config", workdir / "p0.json",
+                              "--target", workdir / "p1.json",
+                              "--segments", segments, "--T", 1.0, "--out", controls)
         assert code == 0
+        return controls, out
+
+    def test_steer_then_simulate_round_trip(self, workdir):
+        controls, out = self.steer_controls(workdir, 6)
         assert "converged: yes" in out
         assert "rank tolerance" not in out  # steer ranks at the default tolerance
         schedule = parse_control_schedule_csv(controls.read_text())
         assert len(schedule.values) == 6
 
         traj_file = workdir / "traj.csv"
-        code2, out2, _ = invoke(CommandRequest(
-            "simulate", graph=str(workdir / "k5.txt"),
-            config=str(workdir / "p0.json"), controls=str(controls),
-            T=1.0, dt=main_dt(), out=str(traj_file)))
+        code2, out2, _ = invoke("simulate", "--graph", workdir / "k5.txt",
+                                "--config", workdir / "p0.json", "--controls", controls,
+                                "--T", 1.0, "--dt", 0.05, "--out", traj_file)
         assert code2 == 0
         traj = parse_trajectory_csv(traj_file.read_text())
         target = load_configuration(str(workdir / "p1.json"))
         assert np.linalg.norm(traj.final.coords - target.coords) < 1e-6
 
     def test_simulate_step_too_large_is_domain_error(self, workdir):
-        controls = workdir / "c.csv"
-        invoke(CommandRequest(
-            "steer", graph=str(workdir / "k5.txt"),
-            config=str(workdir / "p0.json"), target=str(workdir / "p1.json"),
-            segments=2, T=1.0, out=str(controls)))
-        code, _, err = invoke(CommandRequest(
-            "simulate", graph=str(workdir / "k5.txt"),
-            config=str(workdir / "p0.json"), controls=str(controls),
-            T=1.0, dt=0.9))
+        controls, _ = self.steer_controls(workdir, 2)
+        code, _, err = invoke("simulate", "--graph", workdir / "k5.txt",
+                              "--config", workdir / "p0.json", "--controls", controls,
+                              "--T", 1.0, "--dt", 0.9)
         assert code == 1
         assert "error:" in err
 
@@ -256,10 +251,9 @@ class TestSteerSimulateTrack:
         wp_file.write_text(json.dumps(wps))
         traj_file = workdir / "track.csv"
         controls_file = workdir / "track_controls.csv"
-        code, out, _ = invoke(CommandRequest(
-            "track", schedule=str(sched), T=1.0, waypoints=str(wp_file),
-            epsilon=0.01, out=str(traj_file),
-            controls_out=str(controls_file)))
+        code, out, _ = invoke("track", "--schedule", sched, "--T", 1.0,
+                              "--waypoints", wp_file, "--epsilon", 0.01,
+                              "--out", traj_file, "--controls-out", controls_file)
         assert code == 0
         assert "max deviation" in out
         traj = parse_trajectory_csv(traj_file.read_text())
@@ -268,14 +262,44 @@ class TestSteerSimulateTrack:
             controls_file.read_text()).values) == 8
 
     def test_track_missing_waypoints_flag(self, workdir):
-        code, _, err = invoke(CommandRequest(
-            "track", graph=str(workdir / "k5.txt"), T=1.0))
+        code, err = refused("track", "--graph", workdir / "k5.txt", "--T", 1.0)
         assert code == 2
         assert "--waypoints" in err
 
+    def test_track_needs_graph_or_schedule(self, workdir):
+        code, err = refused("track", "--waypoints", workdir / "wps.json")
+        assert code == 2
+        assert "--graph" in err and "--schedule" in err
 
-def main_dt():
-    return 0.05
+    def test_simulate_refuses_graph_and_schedule(self, workdir):
+        controls, _ = self.steer_controls(workdir, 2)
+        sched = workdir / "sched.json"
+        sched.write_text(json.dumps([{"t": 0.0, "graph": "k5.txt"}]))
+        code, err = refused("simulate", "--graph", workdir / "k5.txt",
+                            "--schedule", sched, "--config", workdir / "p0.json",
+                            "--controls", controls)
+        assert code == 2
+        assert "not allowed with" in err
+
+
+class TestFormats:
+    @pytest.mark.parametrize("command", ["analyze", "closure", "larc", "chart"])
+    def test_csv_refused_where_only_json_is_printed(self, workdir, command):
+        inputs = {
+            "analyze": ["--graph", workdir / "ring.txt"],
+            "closure": ["--graph", workdir / "ring.txt"],
+            "larc": ["--graph", workdir / "k5.txt", "--config", workdir / "p0.json"],
+            "chart": ["--config", workdir / "p0.json"],
+        }[command]
+        code, err = refused(command, *inputs, "--format", "csv")
+        assert code == 2
+        assert "--format" in err
+
+    def test_witness_refuses_json(self, workdir):
+        code, err = refused("witness", "--graph", workdir / "k5.txt",
+                            "--config", workdir / "p0.json", "--format", "json")
+        assert code == 2
+        assert "--format" in err
 
 
 class TestEntryPoint:
@@ -284,18 +308,12 @@ class TestEntryPoint:
         assert code == 0
         assert "verdict" in capsys.readouterr().out
 
-    def test_unknown_command_in_run(self):
-        code, _, err = invoke(CommandRequest("explode"))
-        assert code == 2
-        assert "unknown command" in err
-
     def test_main_rejects_unknown_subcommand(self):
-        with pytest.raises(SystemExit):
-            main(["explode"])
+        code, _ = refused("explode")
+        assert code == 2
 
     def test_steer_rejects_tol(self, workdir):
-        with pytest.raises(SystemExit) as exc:
-            main(["steer", "--graph", str(workdir / "k5.txt"),
-                  "--config", str(workdir / "p0.json"),
-                  "--target", str(workdir / "p1.json"), "--tol", "1e-3"])
-        assert exc.value.code == 2
+        code, _ = refused("steer", "--graph", workdir / "k5.txt",
+                          "--config", workdir / "p0.json",
+                          "--target", workdir / "p1.json", "--tol", "1e-3")
+        assert code == 2

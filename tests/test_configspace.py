@@ -531,6 +531,15 @@ class TestConfigurationFiles:
         with pytest.raises(InputFormatError):
             parse_configuration_json('{"n": 2, "N": 1, "agents": [[1]]}')
 
+    def test_json_rejects_boolean_count(self):
+        with pytest.raises(InputFormatError):
+            parse_configuration_json(
+                '{"n": true, "N": 3, "agents": [[0.0], [1.0], [2.0]]}')
+
+    def test_json_rejects_boolean_coordinate(self):
+        with pytest.raises(InputFormatError):
+            parse_configuration_json('{"n": 1, "N": 2, "agents": [[true], [0.0]]}')
+
     def test_json_rejects_garbage(self):
         with pytest.raises(InputFormatError):
             parse_configuration_json("not json")

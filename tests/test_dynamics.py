@@ -273,31 +273,6 @@ class TestSimulate:
         with pytest.raises(InconsistentSchedule):
             simulate(sched, cs, p_bad, 0.1)
 
-    def test_feedback_matches_exact_flow_for_constant_control(self):
-        g = Digraph.complete(3)
-        sched = GraphSchedule.constant(g, 1.0)
-        u_fixed = {e: 0.7 if e == (1, 2) else -0.2 for e in g.edges}
-        p0 = Configuration.from_agents([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]])
-        traj = simulate(sched, lambda t, p: u_fixed, p0, 0.01)
-        exact = flow_constant(g, u_fixed, p0, 1.0)
-        assert np.max(np.abs(traj.final.coords - exact.coords)) < 1e-8
-
-    def test_feedback_consensus_contracts(self):
-        g = Digraph.complete(4)
-        sched = GraphSchedule.constant(g, 3.0)
-        p0 = Configuration.from_agents([[0., 0.], [1., 0.], [0., 1.], [2., 2.]])
-        traj = simulate(sched, lambda t, p: {e: 1.0 for e in g.edges}, p0, 0.01)
-        start_spread = np.max(np.ptp(p0.agents, axis=0))
-        end_spread = np.max(np.ptp(traj.final.agents, axis=0))
-        assert end_spread < 1e-4 * start_spread
-
-    def test_feedback_unknown_edge(self):
-        g = Digraph(2, [(1, 2)])
-        sched = GraphSchedule.constant(g, 1.0)
-        p0 = Configuration.from_agents([[0.0], [1.0]])
-        with pytest.raises(UnknownEdge):
-            simulate(sched, lambda t, p: {(2, 1): 1.0}, p0, 0.1)
-
     def test_rank_never_increases_along_exact_path(self):
         rng = np.random.default_rng(3)
         g = Digraph.complete(4)

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formctl import digraph
-from formctl.configspace import Configuration, configuration_rank, sample_configuration
+from formctl.configspace import (
+    Configuration,
+    configuration_rank,
+    in_controllable_set,
+    sample_configuration,
+)
 from formctl.digraph import Digraph, coarse_scd, structural_verdict, transitive_closure
 from formctl.errors import NotInControllableSet, SizeMismatch, StructuralFailure
 from formctl.larc import (
@@ -272,4 +277,19 @@ class TestGraphAnalysisOnce:
         transitive_closure(g)
         lie_algebra_at(p, g)
         construct_witness_basis(p, g)
+        assert calls == [g]
+
+    def test_certificate_chain_searches_shadow_once(self, monkeypatch):
+        calls = []
+        search = digraph.is_weakly_connected
+
+        def counted(g):
+            calls.append(g)
+            return search(g)
+
+        monkeypatch.setattr(digraph, "is_weakly_connected", counted)
+        g = sink_component_graph(random.Random(5), 3, [4, 4])
+        p = sample_configuration(2, g.num_vertices, seed=6)
+        construct_witness_basis(p, g)
+        in_controllable_set(p, coarse_scd(g))
         assert calls == [g]
