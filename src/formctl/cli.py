@@ -128,13 +128,13 @@ def _cmd_closure(args):
 def _cmd_larc(args):
     g = load_graph(args.graph)
     p = load_configuration(args.config)
-    report = lie_algebra_at(p, g, tol=args.tol)
+    report = lie_algebra_at(p, g)
     verdict = "PASS" if report.passes else "FAIL"
     if args.format == "json":
         payload = {
             "n": p.n,
             "N": p.N,
-            "rank_tolerance": args.tol,
+            "rank_tolerance": RANK_TOL,
             "closure_edges": report.closure_edge_count,
             "per_agent_ranks": list(report.per_agent_ranks),
             "dim": report.dimension,
@@ -144,7 +144,7 @@ def _cmd_larc(args):
         return json.dumps(payload, indent=2), None
     lines = [
         f"configuration: n={p.n}, N={p.N}",
-        f"rank tolerance: {args.tol:g}",
+        f"rank tolerance: {RANK_TOL:g}",
         f"closure edges: {report.closure_edge_count}",
         "per-agent ranks: " + ", ".join(map(str, report.per_agent_ranks)),
         f"dim {report.dimension} / {report.required}: {verdict}",
@@ -155,12 +155,12 @@ def _cmd_larc(args):
 def _cmd_witness(args):
     g = load_graph(args.graph)
     p = load_configuration(args.config)
-    basis = construct_witness_basis(p, g, tol=args.tol)
+    basis = construct_witness_basis(p, g)
     csv_text = format_witness_csv(basis)
     required = p.n * p.N
     summary = "\n".join([
         f"configuration: n={p.n}, N={p.N}",
-        f"rank tolerance: {args.tol:g}",
+        f"rank tolerance: {RANK_TOL:g}",
         f"witness vectors: {len(basis.vectors)}",
         f"witness rank {required} / {required}: PASS",
     ])
@@ -171,8 +171,8 @@ def _cmd_witness(args):
 
 def _cmd_chart(args):
     p = load_configuration(args.config)
-    k = configuration_rank(p, tol=args.tol) if args.k is None else args.k
-    chart = local_chart(p, k, tol=args.tol)
+    k = configuration_rank(p) if args.k is None else args.k
+    chart = local_chart(p, k)
     v = chart.forward(p)
     err = float(np.max(np.abs(chart.inverse(v).coords - p.coords)))
     forced = chart.forced_zero_indices
@@ -185,7 +185,7 @@ def _cmd_chart(args):
             "chosen_agents": list(chart.index_choice),
             "forced_zero_count": len(forced),
             "round_trip_error": err,
-            "rank_tolerance": args.tol,
+            "rank_tolerance": RANK_TOL,
         }
         return json.dumps(payload, indent=2), None
     lines = [
@@ -195,7 +195,7 @@ def _cmd_chart(args):
         "chosen agents: " + ", ".join(map(str, chart.index_choice)),
         f"forced zeros: {len(forced)}",
         f"round-trip error: {err:.3e}",
-        f"rank tolerance: {args.tol:g}",
+        f"rank tolerance: {RANK_TOL:g}",
     ]
     return "\n".join(lines), None
 
@@ -203,7 +203,7 @@ def _cmd_chart(args):
 def _cmd_sample(args):
     p = sample_configuration(args.n, args.N, kind=args.kind, k=args.k, seed=args.seed)
     fmt = args.format
-    if fmt == "text":
+    if fmt is None:
         fmt = "csv" if (args.out or "").endswith(".csv") else "json"
     artifact = (format_configuration_csv(p) if fmt == "csv"
                 else format_configuration_json(p))
@@ -324,9 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=required,
                        help="configuration file (.json or .csv)")
 
-    def tol(p):
-        p.add_argument("--tol", type=float, default=RANK_TOL, help="rank tolerance")
-
     def seed(p):
         p.add_argument("--seed", type=int, default=0, help="random seed")
 
@@ -354,21 +351,20 @@ def _build_parser() -> argparse.ArgumentParser:
             "rank of the controllability Lie algebra at a configuration", ("json",))
     graph(p)
     config(p)
-    tol(p)
 
     p = add("witness", _cmd_witness,
             "explicit spanning vector fields at a configuration", ("csv",))
     graph(p)
     config(p)
-    tol(p)
 
     p = add("chart", _cmd_chart,
             "local chart on the rank stratum through a configuration", ("json",))
     config(p)
-    tol(p)
     p.add_argument("--k", type=int, help="stratum rank (default: the actual rank)")
 
-    p = add("sample", _cmd_sample, "draw a random configuration", ("json", "csv"))
+    p = add("sample", _cmd_sample, "draw a random configuration")
+    p.add_argument("--format", choices=("json", "csv"),
+                   help="artifact format (default: csv if --out ends in .csv, else json)")
     seed(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)

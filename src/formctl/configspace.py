@@ -5,9 +5,12 @@ coordinates, then all second coordinates, ...), which is the layout the
 lifted dynamics act on. File formats and the ``agents`` accessor are
 agent-major; the two layouts differ by a fixed index permutation.
 
-Ranks are numeric: a singular value counts as zero iff it is at most
-RANK_TOL times the largest one. That single constant governs every rank
-decision in the package.
+One rule decides every numeric rank in the package: count the singular
+values above RANK_TOL times the largest one (``_rank_of``). Configuration
+and control-field ranks, affine hulls and intersections all use it, and no
+caller can change RANK_TOL. The only other threshold a result depends on
+is ``intersect_affine``'s distance bound, 1e-8 * (1 + scale), for accepting
+a common point. (Lie closure dimensions are exact integer ranks.)
 """
 
 from __future__ import annotations
@@ -66,15 +69,19 @@ __all__ = [
 RANK_TOL = 1e-9
 
 
-def numeric_rank(mat: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Count of singular values above tol times the largest one."""
+def _rank_of(s: np.ndarray) -> int:
+    """Count of the descending singular values s above RANK_TOL times s[0]."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
+
+
+def numeric_rank(mat: np.ndarray) -> int:
+    """Numeric rank of a 2-D array under the package's one rank rule."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or min(a.shape) == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return _rank_of(np.linalg.svd(a, compute_uv=False))
 
 
 class Configuration:
@@ -149,8 +156,7 @@ def _difference_matrix(p: Configuration, idx: list[int]) -> np.ndarray:
         else np.zeros((p.n, 0))
 
 
-def configuration_rank(p: Configuration, subset: Iterable[int] | None = None,
-                       tol: float = RANK_TOL) -> int:
+def configuration_rank(p: Configuration, subset: Iterable[int] | None = None) -> int:
     """Dimension of the span of differences within the subset (default: all)."""
     if subset is None:
         idx = list(range(1, p.N + 1))
@@ -161,13 +167,13 @@ def configuration_rank(p: Configuration, subset: Iterable[int] | None = None,
         for i in idx:
             if not (1 <= i <= p.N):
                 raise IndexOutOfRange(f"agent {i} out of range 1..{p.N}")
-    return numeric_rank(_difference_matrix(p, idx), tol)
+    return numeric_rank(_difference_matrix(p, idx))
 
 
-def extended_matrix_rank(p: Configuration, tol: float = RANK_TOL) -> int:
+def extended_matrix_rank(p: Configuration) -> int:
     """Rank of the N x (n+1) matrix whose columns are 1, x^1, ..., x^n."""
     xe = np.column_stack([np.ones(p.N), p.coords.reshape(p.n, p.N).T])
-    return numeric_rank(xe, tol)
+    return numeric_rank(xe)
 
 
 @dataclass(frozen=True)
@@ -185,17 +191,16 @@ class ControllableSetMembership:
         return self.passes
 
 
-def in_controllable_set(p: Configuration, scd: ScdReport,
-                        tol: float = RANK_TOL) -> ControllableSetMembership:
+def in_controllable_set(p: Configuration, scd: ScdReport) -> ControllableSetMembership:
     """Check that every maximal component's sub-configuration spans R^n."""
-    if scd.graph.num_vertices != p.N:
+    if scd.num_vertices != p.N:
         raise SizeMismatch(
-            f"decomposition is over {scd.graph.num_vertices} vertices, "
+            f"decomposition is over {scd.num_vertices} vertices, "
             f"configuration has {p.N} agents")
     ranks = []
     for w in sorted(scd.maximal_set):
         comp = scd.components[w - 1]
-        ranks.append((w, configuration_rank(p, comp, tol)))
+        ranks.append((w, configuration_rank(p, comp)))
     return ControllableSetMembership(p.n, tuple(ranks))
 
 
@@ -331,44 +336,42 @@ class StratumChart:
                 f"N={self.center.N}, n={self.center.n})")
 
 
-def _greedy_rank_extension(p: Configuration, stop_rank: int,
-                           tol: float = RANK_TOL) -> tuple[list[int], int]:
+def _greedy_rank_extension(p: Configuration, stop_rank: int) -> tuple[list[int], int]:
     """Scan agents in index order, keeping those that raise the affine rank."""
     chosen = [1]
     rank = 0
     for i in range(2, p.N + 1):
         if rank == stop_rank:
             break
-        r = configuration_rank(p, chosen + [i], tol)
+        r = configuration_rank(p, chosen + [i])
         if r > rank:
             chosen.append(i)
             rank = r
     return chosen, rank
 
 
-def local_chart(p: Configuration, k: int, tol: float = RANK_TOL) -> StratumChart:
+def local_chart(p: Configuration, k: int) -> StratumChart:
     """Chart of the rank-k stratum centered at p; p must have rank k."""
     if not (0 <= k <= p.n):
         raise IndexOutOfRange(f"need 0 <= k <= n, got k={k}, n={p.n}")
-    actual = configuration_rank(p, tol=tol)
+    actual = configuration_rank(p)
     if actual != k:
         raise RankMismatch(f"configuration has rank {actual}, chart wants {k}")
-    chosen, rank = _greedy_rank_extension(p, k, tol)
+    chosen, rank = _greedy_rank_extension(p, k)
     if rank != k or len(chosen) != k + 1:
         raise RankMismatch(f"could not select {k + 1} agents realizing rank {k}")
     return StratumChart(p, k, tuple(chosen))
 
 
-def find_nondegenerate_simplex(p: Configuration, tol: float = RANK_TOL) -> tuple[int, ...]:
+def find_nondegenerate_simplex(p: Configuration) -> tuple[int, ...]:
     """Indices of n+1 agents in general position, found greedily in index order."""
-    chosen, rank = _greedy_rank_extension(p, p.n, tol)
+    chosen, rank = _greedy_rank_extension(p, p.n)
     if rank != p.n:
         raise Degenerate(f"configuration rank {rank} < n = {p.n}")
     return tuple(chosen)
 
 
-def extend_simplex_with_point(simplex: Configuration, x,
-                              tol: float = RANK_TOL) -> tuple[int, ...]:
+def extend_simplex_with_point(simplex: Configuration, x) -> tuple[int, ...]:
     """n of the n+1 simplex agents forming a non-degenerate set with x.
 
     Scans dropped indices in ascending order and returns the kept indices of
@@ -377,7 +380,7 @@ def extend_simplex_with_point(simplex: Configuration, x,
     n = simplex.n
     if simplex.N != n + 1:
         raise SizeMismatch(f"simplex needs n+1 = {n + 1} agents, got {simplex.N}")
-    if configuration_rank(simplex, tol=tol) != n:
+    if configuration_rank(simplex) != n:
         raise SimplexDegenerate("simplex agents are affinely dependent")
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.size != n:
@@ -386,7 +389,7 @@ def extend_simplex_with_point(simplex: Configuration, x,
     for drop in range(1, n + 2):
         keep = [i for i in range(1, n + 2) if i != drop]
         candidate = np.vstack([pts[[i - 1 for i in keep]], point])
-        if numeric_rank((candidate[1:] - candidate[0]).T, tol) == n:
+        if numeric_rank((candidate[1:] - candidate[0]).T) == n:
             return tuple(keep)
     raise SimplexDegenerate("no leave-one-out choice is non-degenerate")
 
@@ -439,7 +442,7 @@ class AffineSubspace:
         return f"AffineSubspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def affine_hull(points: Sequence, tol: float = RANK_TOL) -> AffineSubspace:
+def affine_hull(points: Sequence) -> AffineSubspace:
     """Smallest affine subspace containing the points."""
     pts = [np.asarray(q, dtype=float).reshape(-1) for q in points]
     if not pts:
@@ -449,16 +452,14 @@ def affine_hull(points: Sequence, tol: float = RANK_TOL) -> AffineSubspace:
         return AffineSubspace(base, np.zeros((base.size, 0)))
     diffs = np.column_stack([q - base for q in pts[1:]])
     u, s, _ = np.linalg.svd(diffs, full_matrices=False)
-    r = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol * s[0]))
-    return AffineSubspace(base, u[:, :r])
+    return AffineSubspace(base, u[:, :_rank_of(s)])
 
 
-def intersect_affine(subspaces: Sequence[AffineSubspace],
-                     tol: float = 1e-8) -> AffineSubspace | None:
+def intersect_affine(subspaces: Sequence[AffineSubspace]) -> AffineSubspace | None:
     """Common intersection, or None when the subspaces share no point.
 
     A candidate point from stacked least squares is accepted when its
-    distance to every subspace is at most tol * (1 + scale), with scale the
+    distance to every subspace is at most 1e-8 * (1 + scale), with scale the
     largest coordinate magnitude involved.
     """
     subs = list(subspaces)
@@ -477,13 +478,10 @@ def intersect_affine(subspaces: Sequence[AffineSubspace],
     scale = max(
         [float(np.max(np.abs(s.base_point), initial=0.0)) for s in subs]
         + [float(np.max(np.abs(x), initial=0.0))])
-    if any(s.distance(x) > tol * (1.0 + scale) for s in subs):
+    if any(s.distance(x) > 1e-8 * (1.0 + scale) for s in subs):
         return None
     _, sv, vt = np.linalg.svd(a, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        dim = ambient
-    else:
-        dim = ambient - int(np.count_nonzero(sv > RANK_TOL * sv[0]))
+    dim = ambient - _rank_of(sv)
     basis = vt[ambient - dim:].T if dim else np.zeros((ambient, 0))
     return AffineSubspace(x, basis)
 
@@ -498,12 +496,12 @@ def subspace_distance(a: AffineSubspace, b: AffineSubspace) -> float:
     return max(gap, a.distance(b.base_point), b.distance(a.base_point))
 
 
-def component_sign(p_sub: Configuration, tol: float = RANK_TOL) -> int:
+def component_sign(p_sub: Configuration) -> int:
     """Orientation sign of an (n+1)-agent non-degenerate configuration."""
     n = p_sub.n
     if p_sub.N != n + 1:
         raise SizeMismatch(f"need N = n+1 = {n + 1} agents, got {p_sub.N}")
-    if configuration_rank(p_sub, tol=tol) != n:
+    if configuration_rank(p_sub) != n:
         raise Degenerate("configuration is degenerate; sign undefined")
     det = float(np.linalg.det(_difference_matrix(p_sub, list(range(1, n + 2)))))
     return 1 if det > 0 else -1

@@ -96,8 +96,11 @@ class Digraph:
         return _closure_of(self)
 
     @_cached
-    def _weakly_connected(self) -> bool:
-        return is_weakly_connected(self)
+    def _scd(self) -> "ScdReport | None":
+        """The coarse decomposition, or None when g is not weakly connected."""
+        if not is_weakly_connected(self):
+            return None
+        return ScdReport(self.num_vertices, self.edges, tuple(sorted(self._components)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -198,11 +201,15 @@ class ScdReport:
 
     Components are labeled 1..q in order of their smallest vertex. ``skeleton``
     is the acyclic digraph of inter-component flows; ``maximal_set`` holds the
-    skeleton vertices with no outgoing edges.
+    skeleton vertices with no outgoing edges. One report is cached per graph;
+    it keeps the graph's vertex count and edge set rather than the graph, so
+    the cache forms no reference cycle.
     """
 
-    def __init__(self, graph: Digraph, components: tuple[tuple[int, ...], ...]):
-        self.graph = graph
+    def __init__(self, num_vertices: int, edges: frozenset[tuple[int, int]],
+                 components: tuple[tuple[int, ...], ...]):
+        self.num_vertices = num_vertices
+        self._edges = edges
         self.components = components
 
     @_cached
@@ -225,7 +232,7 @@ class ScdReport:
     def skeleton(self) -> Digraph:
         owner = self._component_of
         edges = set()
-        for i, j in self.graph.edges:
+        for i, j in self._edges:
             ci, cj = owner[i], owner[j]
             if ci != cj:
                 edges.add((ci, cj))
@@ -247,11 +254,13 @@ def coarse_scd(g: Digraph) -> ScdReport:
     parts induce strongly connected subgraphs refines the maximal components,
     so no partition can be coarser, and equality forces part = component.
 
-    Raises NotWeaklyConnected when the undirected shadow is disconnected.
+    Computed once per graph and shared by every caller. Raises
+    NotWeaklyConnected when the undirected shadow is disconnected.
     """
-    if not g._weakly_connected:
+    report = g._scd
+    if report is None:
         raise NotWeaklyConnected(f"graph on {g.num_vertices} vertices is not weakly connected")
-    return ScdReport(g, tuple(sorted(g._components)))
+    return report
 
 
 def transitive_closure(g: Digraph) -> Digraph:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
@@ -20,8 +21,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .configspace import Configuration, parse_configuration_json
-from .digraph import Digraph, StructuralKind, parse_graph_text, structural_verdict
+from .configspace import Configuration, load_configuration, parse_configuration_json
+from .digraph import Digraph, StructuralKind, load_graph, structural_verdict
 from .errors import (
     DimensionMismatch,
     InconsistentSchedule,
@@ -303,7 +304,6 @@ class SteerOptions:
 
     tolerance: float = 1e-8
     max_iterations: int = 200
-    damping_init: float = 1e-3
     multi_start: int = 4
     seed: int = 0
 
@@ -438,7 +438,7 @@ def _gauss_newton(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
                   opts: SteerOptions):
     """Damped Gauss-Newton; returns (theta, residual, iterations, stalled)."""
     r, res, jac = _evaluate(shooting, target, theta, opts.tolerance)
-    lam = opts.damping_init
+    lam = 1e-3
     last_improvement = math.inf
     iters = 0
     while iters < opts.max_iterations and opts.tolerance < res < math.inf:
@@ -500,7 +500,6 @@ def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
 @dataclass(frozen=True)
 class TrackOptions:
     segments_per_leg: int = 4
-    dt: float | None = None
     steer: SteerOptions = field(default_factory=SteerOptions)
 
 
@@ -524,7 +523,8 @@ def track_path(schedule: GraphSchedule,
     straddles a switch. Every segment graph in use must pass the structural
     size test. The reported deviation is the largest distance between the
     achieved state and the waypoint, measured at the waypoint times
-    (including the start offset when tracking begins off the path).
+    (including the start offset when tracking begins off the path). The
+    trajectory is sampled at the smallest gap of the control grid.
     """
     if epsilon <= 0:
         raise InconsistentSchedule(f"epsilon must be positive, got {epsilon}")
@@ -585,14 +585,11 @@ def track_path(schedule: GraphSchedule,
         deviations.append(float(np.linalg.norm(current.coords - p_target.coords)))
 
     controls = ControlSchedule(tuple(grid), tuple(values))
-    dt = opts.dt
-    if dt is None:
-        dt = min(b - a for a, b in zip(grid, grid[1:]))
     horizon = times[-1]
     sub_schedule = GraphSchedule(
         tuple((t, g) for t, g in schedule.segments if t < horizon), horizon)
     trajectory = simulate(sub_schedule, controls, wps[0][1] if start is None else start,
-                          dt)
+                          min(b - a for a, b in zip(grid, grid[1:])))
     return TrackResult(controls, trajectory, max(deviations), tuple(leg_residuals))
 
 
@@ -607,43 +604,62 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _read_timed_list(text: str, item: str, key: str, base_dir, load, inline) -> list:
+    """(t, value) pairs of a JSON list [{"t": float, key: <path or inline>}].
+
+    A string value is a path, resolved against base_dir and read by load;
+    any other value is handed to inline. item names an entry in messages.
+    """
+    try:
+        entries = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"bad JSON: {exc}") from None
+    if not isinstance(entries, list) or not entries:
+        raise InputFormatError(f"expected a nonempty JSON list of {item}s")
+    out = []
+    for entry in entries:
+        if not isinstance(entry, dict) or "t" not in entry or key not in entry:
+            raise InputFormatError(f'each {item} needs keys "t" and "{key}"')
+        t = entry["t"]
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
+            raise InputFormatError(f"bad {item} time {t!r}")
+        spec = entry[key]
+        if isinstance(spec, str):
+            path = spec if base_dir is None else os.path.join(base_dir, spec)
+            try:
+                value = load(path)
+            except OSError as exc:
+                raise InputFormatError(f"cannot read {key} file {spec!r}: {exc}") from None
+        else:
+            value = inline(spec)
+        out.append((float(t), value))
+    return out
+
+
+def _inline_graph(spec) -> Digraph:
+    if not (isinstance(spec, dict) and {"N", "edges"} <= set(spec)):
+        raise InputFormatError(
+            'segment "graph" must be a path or {"N": ..., "edges": [...]}')
+    try:
+        return Digraph(spec["N"], [tuple(e) for e in spec["edges"]])
+    except Exception as exc:
+        raise InputFormatError(f"bad inline graph: {exc}") from None
+
+
+def _inline_configuration(spec) -> Configuration:
+    if not isinstance(spec, dict):
+        raise InputFormatError('waypoint "config" must be a path or an object')
+    return parse_configuration_json(json.dumps(spec))
+
+
 def parse_graph_schedule(text: str, horizon: float, base_dir=None) -> GraphSchedule:
     """JSON list [{"t": float, "graph": <path or {"N":., "edges":[[i,j],..]}>}].
 
     Path entries are resolved against base_dir. The horizon is supplied by
     the caller; it is not part of the file.
     """
-    try:
-        items = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"bad JSON: {exc}") from None
-    if not isinstance(items, list) or not items:
-        raise InputFormatError("expected a nonempty JSON list of segments")
-    segments = []
-    for item in items:
-        if not isinstance(item, dict) or "t" not in item or "graph" not in item:
-            raise InputFormatError('each segment needs keys "t" and "graph"')
-        t = item["t"]
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
-            raise InputFormatError(f'bad segment time {t!r}')
-        spec = item["graph"]
-        if isinstance(spec, str):
-            import os
-            path = spec if base_dir is None else os.path.join(base_dir, spec)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    g = parse_graph_text(fh.read())
-            except OSError as exc:
-                raise InputFormatError(f"cannot read graph file {spec!r}: {exc}") from None
-        elif isinstance(spec, dict) and {"N", "edges"} <= set(spec):
-            try:
-                g = Digraph(spec["N"], [tuple(e) for e in spec["edges"]])
-            except Exception as exc:
-                raise InputFormatError(f"bad inline graph: {exc}") from None
-        else:
-            raise InputFormatError(
-                'segment "graph" must be a path or {"N": ..., "edges": [...]}')
-        segments.append((float(t), g))
+    segments = _read_timed_list(text, "segment", "graph", base_dir, load_graph,
+                                _inline_graph)
     try:
         return GraphSchedule(tuple(segments), horizon)
     except InconsistentSchedule as exc:
@@ -652,34 +668,8 @@ def parse_graph_schedule(text: str, horizon: float, base_dir=None) -> GraphSched
 
 def parse_waypoints(text: str, base_dir=None) -> list[tuple[float, Configuration]]:
     """JSON list [{"t": float, "config": <path or inline configuration>}]."""
-    try:
-        items = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"bad JSON: {exc}") from None
-    if not isinstance(items, list) or not items:
-        raise InputFormatError("expected a nonempty JSON list of waypoints")
-    out = []
-    for item in items:
-        if not isinstance(item, dict) or "t" not in item or "config" not in item:
-            raise InputFormatError('each waypoint needs keys "t" and "config"')
-        t = item["t"]
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
-            raise InputFormatError(f"bad waypoint time {t!r}")
-        spec = item["config"]
-        if isinstance(spec, str):
-            import os
-            from .configspace import load_configuration
-            path = spec if base_dir is None else os.path.join(base_dir, spec)
-            try:
-                p = load_configuration(path)
-            except OSError as exc:
-                raise InputFormatError(f"cannot read config file {spec!r}: {exc}") from None
-        elif isinstance(spec, dict):
-            p = parse_configuration_json(json.dumps(spec))
-        else:
-            raise InputFormatError('waypoint "config" must be a path or an object')
-        out.append((float(t), p))
-    return out
+    return _read_timed_list(text, "waypoint", "config", base_dir, load_configuration,
+                            _inline_configuration)
 
 
 def format_control_schedule_csv(controls: ControlSchedule) -> str:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configspace import (
-    RANK_TOL,
     Configuration,
     find_nondegenerate_simplex,
     extend_simplex_with_point,
@@ -71,7 +70,7 @@ class LarcReport:
         return self.dimension == self.required
 
 
-def lie_algebra_at(p: Configuration, g: Digraph, *, tol: float = RANK_TOL) -> LarcReport:
+def lie_algebra_at(p: Configuration, g: Digraph) -> LarcReport:
     """Dimension of span{D(A) p : A in the closure algebra of g}.
 
     Per agent i, the fields of edges i->j in the transitive closure occupy
@@ -90,12 +89,12 @@ def lie_algebra_at(p: Configuration, g: Digraph, *, tol: float = RANK_TOL) -> La
             ranks.append(0)
             continue
         diffs = pts[[j - 1 for j in nbrs]] - pts[i - 1]
-        ranks.append(numeric_rank(diffs.T, tol))
+        ranks.append(numeric_rank(diffs.T))
     return LarcReport(sum(ranks), p.n * p.N, tuple(ranks), len(closed.edges))
 
 
-def larc_passes(p: Configuration, g: Digraph, tol: float = RANK_TOL) -> bool:
-    return lie_algebra_at(p, g, tol=tol).passes
+def larc_passes(p: Configuration, g: Digraph) -> bool:
+    return lie_algebra_at(p, g).passes
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,7 @@ class WitnessBasis:
         return f"WitnessBasis(n={self.n}, N={self.N}, count={len(self.vectors)})"
 
 
-def construct_witness_basis(p: Configuration, g: Digraph,
-                            tol: float = RANK_TOL) -> WitnessBasis:
+def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
     """The explicit nN-vector certificate for a structurally sound pair.
 
     Per maximal component: a non-degenerate simplex of n+1 of its agents
@@ -150,7 +148,7 @@ def construct_witness_basis(p: Configuration, g: Digraph,
         raise StructuralFailure(
             f"graph verdict is {verdict.kind.value}; offending maximal components "
             f"{list(verdict.offending_components)}")
-    membership = in_controllable_set(p, scd, tol)
+    membership = in_controllable_set(p, scd)
     if not membership:
         failing = [w for w, r in membership.component_ranks if r != n]
         raise NotInControllableSet(
@@ -162,7 +160,7 @@ def construct_witness_basis(p: Configuration, g: Digraph,
     vectors: list[WitnessVector] = []
     for w in maximal:
         comp = scd.components[w - 1]
-        local = find_nondegenerate_simplex(p.subconfiguration(comp), tol)
+        local = find_nondegenerate_simplex(p.subconfiguration(comp))
         simplices[w] = tuple(comp[l - 1] for l in local)
         for a in simplices[w]:
             for b in simplices[w]:
@@ -180,7 +178,7 @@ def construct_witness_basis(p: Configuration, g: Digraph,
             w = next(m for m in maximal
                      if (j, scd.components[m - 1][0]) in closed.edges)
         simplex_conf = p.subconfiguration(simplices[w])
-        kept_local = extend_simplex_with_point(simplex_conf, p.agent(j), tol)
+        kept_local = extend_simplex_with_point(simplex_conf, p.agent(j))
         for l in kept_local:
             k = simplices[w][l - 1]
             vectors.append(WitnessVector(
@@ -190,7 +188,7 @@ def construct_witness_basis(p: Configuration, g: Digraph,
     if len(vectors) != n * p.N:
         raise StructuralFailure(
             f"witness construction produced {len(vectors)} vectors, expected {n * p.N}")
-    if numeric_rank(basis.matrix, tol) != n * p.N:
+    if numeric_rank(basis.matrix) != n * p.N:
         raise StructuralFailure("witness vectors are numerically dependent")
     return basis
 

@@ -195,6 +195,11 @@ class TestSample:
         invoke("sample", "--n", 2, "--N", 6, "--seed", 9, "--out", b)
         assert a.read_text() == b.read_text()
 
+    def test_refuses_text_format(self):
+        code, err = refused("sample", "--n", 2, "--N", 3, "--format", "text")
+        assert code == 2
+        assert "--format" in err
+
     def test_rank_k_needs_valid_k(self):
         code, _, err = invoke("sample", "--n", 2, "--N", 4, "--kind", "rank_k", "--k", 7)
         assert code == 1
@@ -312,8 +317,15 @@ class TestEntryPoint:
         code, _ = refused("explode")
         assert code == 2
 
-    def test_steer_rejects_tol(self, workdir):
-        code, _ = refused("steer", "--graph", workdir / "k5.txt",
-                          "--config", workdir / "p0.json",
-                          "--target", workdir / "p1.json", "--tol", "1e-3")
+    @pytest.mark.parametrize("command", ["larc", "witness", "chart", "steer"])
+    def test_rejects_tol(self, workdir, command):
+        inputs = {
+            "larc": ["--graph", workdir / "k5.txt", "--config", workdir / "p0.json"],
+            "witness": ["--graph", workdir / "k5.txt", "--config", workdir / "p0.json"],
+            "chart": ["--config", workdir / "p0.json"],
+            "steer": ["--graph", workdir / "k5.txt", "--config", workdir / "p0.json",
+                      "--target", workdir / "p1.json"],
+        }[command]
+        code, err = refused(command, *inputs, "--tol", "1e-3")
         assert code == 2
+        assert "--tol" in err

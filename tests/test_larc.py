@@ -293,3 +293,21 @@ class TestGraphAnalysisOnce:
         construct_witness_basis(p, g)
         in_controllable_set(p, coarse_scd(g))
         assert calls == [g]
+
+    def test_certificate_chain_builds_one_skeleton(self, monkeypatch):
+        built = []
+        skeleton = digraph.ScdReport.skeleton.fn
+
+        def counted(report):
+            built.append(report)
+            return skeleton(report)
+
+        monkeypatch.setattr(digraph.ScdReport.skeleton, "fn", counted)
+        g = sink_component_graph(random.Random(5), 3, [4, 4])
+        p = sample_configuration(2, g.num_vertices, seed=6)
+        scd = coarse_scd(g)
+        structural_verdict(g, 2)
+        in_controllable_set(p, scd)
+        lie_algebra_at(p, g)
+        construct_witness_basis(p, g)
+        assert built == [scd]
