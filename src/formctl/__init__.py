@@ -22,7 +22,6 @@ from .configspace import (
     ControllableSetMembership,
     StratumChart,
     affine_hull,
-    codimension_bound_holds,
     component_sign,
     configuration_rank,
     extend_simplex_with_point,
@@ -33,7 +32,6 @@ from .configspace import (
     load_configuration,
     local_chart,
     sample_configuration,
-    stratum_dimension,
     subspace_distance,
 )
 from .digraph import (
@@ -68,7 +66,6 @@ from .larc import (
     construct_witness_basis,
     larc_passes,
     lie_algebra_at,
-    lift_block_diagonal,
 )
 from .liealg import (
     EdgeGenerator,
@@ -76,7 +73,6 @@ from .liealg import (
     LieBasis,
     ZeroRowSumMatrix,
     bracket,
-    edge_generator,
     edge_generators,
     lie_closure,
     span_contains,

@@ -23,6 +23,7 @@ from .configspace import (
     configuration_rank,
     format_configuration_csv,
     format_configuration_json,
+    is_csv_path,
     load_configuration,
     local_chart,
     sample_configuration,
@@ -204,7 +205,7 @@ def _cmd_sample(args):
     p = sample_configuration(args.n, args.N, kind=args.kind, k=args.k, seed=args.seed)
     fmt = args.format
     if fmt is None:
-        fmt = "csv" if (args.out or "").endswith(".csv") else "json"
+        fmt = "csv" if is_csv_path(args.out or "") else "json"
     artifact = (format_configuration_csv(p) if fmt == "csv"
                 else format_configuration_json(p))
     summary = (f"sampled configuration: n={args.n}, N={args.N}, kind={args.kind}, "

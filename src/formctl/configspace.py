@@ -34,7 +34,6 @@ from .errors import (
     InputFormatError,
     InvalidStratum,
     RankMismatch,
-    RequiresNGreaterThanN,
     SimplexDegenerate,
     SizeMismatch,
 )
@@ -47,8 +46,6 @@ __all__ = [
     "extended_matrix_rank",
     "ControllableSetMembership",
     "in_controllable_set",
-    "stratum_dimension",
-    "codimension_bound_holds",
     "StratumChart",
     "local_chart",
     "find_nondegenerate_simplex",
@@ -63,6 +60,7 @@ __all__ = [
     "format_configuration_json",
     "parse_configuration_csv",
     "format_configuration_csv",
+    "is_csv_path",
     "load_configuration",
 ]
 
@@ -202,20 +200,6 @@ def in_controllable_set(p: Configuration, scd: ScdReport) -> ControllableSetMemb
         comp = scd.components[w - 1]
         ranks.append((w, configuration_rank(p, comp)))
     return ControllableSetMembership(p.n, tuple(ranks))
-
-
-def stratum_dimension(k: int, N: int, n: int) -> int:
-    """Dimension -k^2 + k(N+n-1) + n of the rank-k stratum."""
-    if not (0 <= k <= n <= N):
-        raise IndexOutOfRange(f"need 0 <= k <= n <= N, got k={k}, n={n}, N={N}")
-    return -k * k + k * (N + n - 1) + n
-
-
-def codimension_bound_holds(N: int, n: int) -> bool:
-    """True iff nN - d_k >= N - n for every k < n (requires N > n)."""
-    if N <= n:
-        raise RequiresNGreaterThanN(f"need N > n, got N={N}, n={n}")
-    return all(n * N - stratum_dimension(k, N, n) >= N - n for k in range(n))
 
 
 # -- local charts of the rank strata ---------------------------------------
@@ -596,10 +580,14 @@ def format_configuration_csv(p: Configuration) -> str:
     return "\n".join(",".join(f"{x:.17g}" for x in row) for row in p.agents) + "\n"
 
 
+def is_csv_path(path) -> bool:
+    """Configuration files ending in .csv (any case) are CSV, all others JSON."""
+    return str(path).lower().endswith(".csv")
+
+
 def load_configuration(path) -> Configuration:
-    """Dispatch on extension: .json is JSON, anything else is CSV."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if str(path).lower().endswith(".json"):
-        return parse_configuration_json(text)
-    return parse_configuration_csv(text)
+    if is_csv_path(path):
+        return parse_configuration_csv(text)
+    return parse_configuration_json(text)

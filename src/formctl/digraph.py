@@ -23,7 +23,6 @@ __all__ = [
     "verify_scd_closure_commutation",
     "structural_verdict",
     "parse_graph_text",
-    "format_graph_text",
     "load_graph",
 ]
 
@@ -396,12 +395,6 @@ def parse_graph_text(text: str) -> Digraph:
         return Digraph(num_vertices, edges)
     except InvalidIndices as exc:
         raise InputFormatError(str(exc)) from None
-
-
-def format_graph_text(g: Digraph) -> str:
-    lines = [f"N {g.num_vertices}"]
-    lines.extend(f"{i} {j}" for i, j in sorted(g.edges))
-    return "\n".join(lines) + "\n"
 
 
 def load_graph(path) -> Digraph:

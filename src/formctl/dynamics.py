@@ -52,7 +52,6 @@ __all__ = [
     "format_control_schedule_csv",
     "parse_control_schedule_csv",
     "format_trajectory_csv",
-    "parse_trajectory_csv",
 ]
 
 # two time stamps closer than this (relative to the horizon) are one instant
@@ -310,7 +309,10 @@ class SteerOptions:
 
 @dataclass(frozen=True)
 class SteerResult:
+    """Best controls found; states[k] is the configuration they reach at grid[k]."""
+
     controls: ControlSchedule
+    states: tuple[Configuration, ...]
     residual: float
     start_index: int
     iterations: int
@@ -411,33 +413,37 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
     shooting = _ShootingMap(g, p0.coords.reshape(p0.n, p0.N), segments, T / segments)
     target = p1.coords.reshape(p1.n, p1.N)
 
-    best: tuple[float, int, np.ndarray, int, bool] | None = None
+    best = None
     for start in range(max(1, opts.multi_start)):
         if start == 0:
             theta = np.zeros(dim)
         else:
             rng = np.random.default_rng((opts.seed, start))
             theta = rng.uniform(-0.5, 0.5, size=dim)
-        theta, res, iters, stalled = _gauss_newton(shooting, target, theta, opts)
+        theta, states, res, iters, stalled = _gauss_newton(shooting, target, theta, opts)
         if best is None or res < best[0]:
-            best = (res, start, theta, iters, stalled)
+            best = (res, start, theta, states, iters, stalled)
         if res <= opts.tolerance:
             break
 
-    res, start, theta, iters, stalled = best
+    res, start, theta, states, iters, stalled = best
     grid = tuple(k * T / segments for k in range(segments)) + (T,)
     values = tuple(
         dict(zip(edges, map(float, theta[s * len(edges):(s + 1) * len(edges)])))
         for s in range(segments))
+    achieved = tuple(Configuration(p0.n, p0.N, x) for x in states)
     no_progress = stalled and res > opts.tolerance
-    return SteerResult(ControlSchedule(grid, values), float(res), start, iters,
-                       no_progress, tuple(warns))
+    return SteerResult(ControlSchedule(grid, values), achieved, float(res), start,
+                       iters, no_progress, tuple(warns))
 
 
 def _gauss_newton(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
                   opts: SteerOptions):
-    """Damped Gauss-Newton; returns (theta, residual, iterations, stalled)."""
-    r, res, jac = _evaluate(shooting, target, theta, opts.tolerance)
+    """Damped Gauss-Newton; returns (theta, states, residual, iterations, stalled).
+
+    states are the forward pass's x_0 .. x_S at the returned theta.
+    """
+    states, r, res, jac = _evaluate(shooting, target, theta, opts.tolerance)
     lam = 1e-3
     last_improvement = math.inf
     iters = 0
@@ -449,17 +455,18 @@ def _gauss_newton(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
             lam *= 10
             continue
         trial = theta + step
-        r_trial, res_trial, jac_trial = _evaluate(shooting, target, trial, opts.tolerance)
+        states_trial, r_trial, res_trial, jac_trial = _evaluate(
+            shooting, target, trial, opts.tolerance)
         if res_trial < res:
             last_improvement = res - res_trial
-            theta, r, res, jac = trial, r_trial, res_trial, jac_trial
+            theta, states, r, res, jac = trial, states_trial, r_trial, res_trial, jac_trial
             lam = max(lam / 10, 1e-15)
         else:
             lam *= 10
             if lam > 1e12:
                 break
     stalled = res > opts.tolerance and last_improvement < 1e-14
-    return theta, res, iters, stalled
+    return theta, states, res, iters, stalled
 
 
 def _damped_step(jac: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
@@ -475,7 +482,7 @@ def _damped_step(jac: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
 
 def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
               tolerance: float):
-    """Residual vector, its norm and the Jacobian at theta.
+    """Forward states, residual vector, its norm and the Jacobian at theta.
 
     The norm reads inf when the flow or the Jacobian is not finite (the
     exponentials overflowed), so such a trial is rejected like one that does
@@ -486,13 +493,13 @@ def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
         r = (fwd.states[-1] - target).reshape(-1)
         res = float(np.linalg.norm(r))
         if not math.isfinite(res):
-            return r, math.inf, None
+            return fwd.states, r, math.inf, None
         if res <= tolerance:
-            return r, res, None
+            return fwd.states, r, res, None
         jac = shooting.jacobian(fwd)
     if not np.all(np.isfinite(jac)):
-        return r, math.inf, None
-    return r, res, jac
+        return fwd.states, r, math.inf, None
+    return fwd.states, r, res, jac
 
 
 # -- waypoint tracking -----------------------------------------------------
@@ -524,7 +531,8 @@ def track_path(schedule: GraphSchedule,
     size test. The reported deviation is the largest distance between the
     achieved state and the waypoint, measured at the waypoint times
     (including the start offset when tracking begins off the path). The
-    trajectory is sampled at the smallest gap of the control grid.
+    trajectory is sampled at the control breakpoints, with the states each
+    leg's steering reached there, so no flow is computed twice.
     """
     if epsilon <= 0:
         raise InconsistentSchedule(f"epsilon must be positive, got {epsilon}")
@@ -565,37 +573,24 @@ def track_path(schedule: GraphSchedule,
     deviations = [float(np.linalg.norm(current.coords - wps[0][1].coords))]
     grid: list[float] = [0.0]
     values: list[dict[tuple[int, int], float]] = []
+    states = [current]
     leg_residuals = []
     steer_opts = replace(opts.steer, tolerance=epsilon / 2)
     for leg, ((t_a, _), (t_b, p_target)) in enumerate(zip(wps, wps[1:])):
-        g = schedule.active(t_a)
-        result = steer(g, current, p_target, opts.segments_per_leg, t_b - t_a,
-                       steer_opts)
+        result = steer(schedule.active(t_a), current, p_target, opts.segments_per_leg,
+                       t_b - t_a, steer_opts)
         if result.residual > epsilon / 2:
             raise SegmentFailure(leg, result.residual, epsilon / 2)
         leg_residuals.append(result.residual)
-        for k, u in enumerate(result.controls.values):
-            grid.append(t_a + result.controls.grid[k + 1])
-            values.append(u)
-        shooting = _ShootingMap(g, current.coords.reshape(current.n, current.N),
-                                opts.segments_per_leg,
-                                (t_b - t_a) / opts.segments_per_leg)
-        final = shooting.forward(_flatten(result.controls, g)).states[-1]
-        current = Configuration(current.n, current.N, final.reshape(-1))
+        grid.extend(t_a + t for t in result.controls.grid[1:])
+        values.extend(result.controls.values)
+        states.extend(result.states[1:])
+        current = result.states[-1]
         deviations.append(float(np.linalg.norm(current.coords - p_target.coords)))
 
-    controls = ControlSchedule(tuple(grid), tuple(values))
-    horizon = times[-1]
-    sub_schedule = GraphSchedule(
-        tuple((t, g) for t, g in schedule.segments if t < horizon), horizon)
-    trajectory = simulate(sub_schedule, controls, wps[0][1] if start is None else start,
-                          min(b - a for a, b in zip(grid, grid[1:])))
-    return TrackResult(controls, trajectory, max(deviations), tuple(leg_residuals))
-
-
-def _flatten(controls: ControlSchedule, g: Digraph) -> np.ndarray:
-    edges = sorted(g.edges)
-    return np.array([u.get(e, 0.0) for u in controls.values for e in edges])
+    return TrackResult(ControlSchedule(tuple(grid), tuple(values)),
+                       Trajectory(tuple(grid), tuple(states)),
+                       max(deviations), tuple(leg_residuals))
 
 
 # -- file formats ----------------------------------------------------------
@@ -723,39 +718,3 @@ def format_trajectory_csv(traj: Trajectory) -> str:
             coords = ",".join(_fmt(c) for c in state.agent(i))
             lines.append(f"{_fmt(t)},{i},{coords}")
     return "\n".join(lines) + "\n"
-
-
-def parse_trajectory_csv(text: str) -> Trajectory:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("t,"):
-            continue
-        parts = line.split(",")
-        if len(parts) < 3:
-            raise InputFormatError(f"line {lineno}: too few fields")
-        try:
-            rows.append((float(parts[0]), int(parts[1]),
-                         [float(x) for x in parts[2:]]))
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: bad field in {raw!r}") from None
-    if not rows:
-        raise InputFormatError("empty trajectory")
-    n = len(rows[0][2])
-    by_time: dict[float, dict[int, list[float]]] = {}
-    for t, agent, coords in rows:
-        if len(coords) != n:
-            raise InputFormatError("inconsistent coordinate counts")
-        by_time.setdefault(t, {})[agent] = coords
-    times = sorted(by_time)
-    states = []
-    for t in times:
-        agents = by_time[t]
-        if sorted(agents) != list(range(1, len(agents) + 1)):
-            raise InputFormatError(f"t={t}: agents must be 1..N")
-        states.append(Configuration.from_agents(
-            [agents[i] for i in sorted(agents)]))
-    try:
-        return Trajectory(tuple(times), tuple(states))
-    except InconsistentSchedule as exc:
-        raise InputFormatError(str(exc)) from None

@@ -56,10 +56,6 @@ class IndexOutOfRange(DomainError):
     pass
 
 
-class RequiresNGreaterThanN(DomainError):
-    """Needs strictly more agents than ambient dimensions."""
-
-
 class RankMismatch(DomainError):
     """Configuration rank differs from the requested stratum."""
 

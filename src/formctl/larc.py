@@ -29,23 +29,16 @@ from .digraph import (
     transitive_closure,
 )
 from .errors import NotInControllableSet, SizeMismatch, StructuralFailure
-from .liealg import ZeroRowSumMatrix
 
 __all__ = [
     "LarcReport",
     "WitnessVector",
     "WitnessBasis",
-    "lift_block_diagonal",
     "lie_algebra_at",
     "larc_passes",
     "construct_witness_basis",
     "format_witness_csv",
 ]
-
-
-def lift_block_diagonal(a: ZeroRowSumMatrix, n: int) -> np.ndarray:
-    """Matrix of D(a) = Diag(a, ..., a) with n blocks, acting coordinate-major."""
-    return np.kron(np.eye(n, dtype=np.int64), a.array)
 
 
 def _field_at(i: int, j: int, p: Configuration) -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "EdgeGenerator",
     "GeneratorCombination",
     "LieBasis",
-    "edge_generator",
     "edge_generators",
     "bracket",
     "structural_bracket",
@@ -123,11 +122,6 @@ class EdgeGenerator:
         arr[self.i - 1, self.i - 1] = -1
         arr[self.i - 1, self.j - 1] = 1
         return ZeroRowSumMatrix(arr)
-
-
-def edge_generator(i: int, j: int, size: int) -> ZeroRowSumMatrix:
-    """The matrix -e_i e_i^T + e_i e_j^T (1-based indices)."""
-    return EdgeGenerator(i, j, size).dense()
 
 
 def edge_generators(g: Digraph) -> list[EdgeGenerator]:

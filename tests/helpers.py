@@ -13,7 +13,9 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
+from formctl.configspace import Configuration
 from formctl.digraph import Digraph
+from formctl.dynamics import Trajectory
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -211,12 +213,34 @@ def sink_component_graph(rng: random.Random, n_comps: int, comp_sizes: list[int]
     return Digraph(next_v - 1, edges)
 
 
+def lift_block_diagonal(a, n: int) -> np.ndarray:
+    """Matrix of D(a) = Diag(a, ..., a) with n blocks, acting coordinate-major."""
+    return np.kron(np.eye(n, dtype=np.int64), a.array)
+
+
+# -- file format halves the library itself never needs ---------------------
+
+def format_graph_text(g: Digraph) -> str:
+    lines = [f"N {g.num_vertices}"]
+    lines.extend(f"{i} {j}" for i, j in sorted(g.edges))
+    return "\n".join(lines) + "\n"
+
+
+def parse_trajectory_csv(text: str) -> Trajectory:
+    """Read the CSV `t,agent,x1..xn` written by format_trajectory_csv."""
+    by_time: dict[float, list[list[float]]] = {}
+    for line in text.splitlines()[1:]:
+        t, _, *coords = line.split(",")
+        by_time.setdefault(float(t), []).append([float(x) for x in coords])
+    times = sorted(by_time)
+    return Trajectory(tuple(times),
+                      tuple(Configuration.from_agents(by_time[t]) for t in times))
+
+
 def rank_k_near(center, k: int, chosen: tuple[int, ...],
                 rng: np.random.Generator, magnitude: float = 0.05):
     """Perturb center within the rank-k stratum: move the chosen agents
     freely and keep the rest at (perturbed) affine combinations of them."""
-    from formctl.configspace import Configuration
-
     pts = center.agents.copy()
     weights = {}
     base = pts[chosen[0] - 1]

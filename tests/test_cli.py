@@ -13,8 +13,10 @@ from formctl.configspace import (
     load_configuration,
     sample_configuration,
 )
-from formctl.digraph import Digraph, format_graph_text
-from formctl.dynamics import parse_control_schedule_csv, parse_trajectory_csv
+from formctl.digraph import Digraph
+from formctl.dynamics import parse_control_schedule_csv
+
+from helpers import format_graph_text, parse_trajectory_csv
 
 
 def invoke(*argv):
@@ -174,6 +176,14 @@ class TestSample:
         assert (p.n, p.N) == (2, 5)
         code2, out2, _ = invoke("larc", "--graph", workdir / "k5.txt", "--config", target)
         assert code2 == 0 and "PASS" in out2
+
+    def test_other_extension_round_trips(self, workdir):
+        target = workdir / "p.txt"
+        code, _, _ = invoke("sample", "--n", 2, "--N", 5, "--seed", 4, "--out", target)
+        assert code == 0
+        code2, out2, err2 = invoke("larc", "--graph", workdir / "k5.txt", "--config", target)
+        assert code2 == 0, err2
+        assert "PASS" in out2
 
     def test_csv_artifact(self, workdir):
         target = workdir / "fresh.csv"

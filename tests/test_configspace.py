@@ -13,7 +13,6 @@ from formctl.configspace import (
     AffineSubspace,
     Configuration,
     affine_hull,
-    codimension_bound_holds,
     component_sign,
     configuration_rank,
     extend_simplex_with_point,
@@ -29,7 +28,6 @@ from formctl.configspace import (
     parse_configuration_csv,
     parse_configuration_json,
     sample_configuration,
-    stratum_dimension,
     subspace_distance,
 )
 from formctl.digraph import Digraph, coarse_scd
@@ -43,7 +41,6 @@ from formctl.errors import (
     InputFormatError,
     InvalidStratum,
     RankMismatch,
-    RequiresNGreaterThanN,
     SimplexDegenerate,
     SizeMismatch,
 )
@@ -181,45 +178,6 @@ class TestControllableSetMembership:
             assert in_controllable_set(bumped, self.scd)
 
 
-class TestStratumDimensions:
-    def test_formula_values(self):
-        assert stratum_dimension(1, 4, 2) == 6
-        assert stratum_dimension(0, 5, 3) == 3
-        assert stratum_dimension(3, 5, 3) == 15
-
-    @given(st.integers(1, 5), st.integers(1, 9))
-    @settings(max_examples=60, deadline=None)
-    def test_edge_cases_of_formula(self, n, extra):
-        N = n + extra
-        assert stratum_dimension(n, N, n) == n * N
-        assert stratum_dimension(0, N, n) == n
-        assert stratum_dimension(n - 1, N, n) == n * N - N + n
-
-    def test_range_checked(self):
-        with pytest.raises(IndexOutOfRange):
-            stratum_dimension(3, 4, 2)
-        with pytest.raises(IndexOutOfRange):
-            stratum_dimension(-1, 4, 2)
-        with pytest.raises(IndexOutOfRange):
-            stratum_dimension(2, 2, 3)
-
-    def test_codimension_bound(self):
-        assert codimension_bound_holds(4, 2)
-        assert codimension_bound_holds(5, 2)
-        for n in range(1, 5):
-            assert codimension_bound_holds(n + 1, n)
-
-    def test_codimension_equality_at_top(self):
-        # with N = n+1 the bound is tight at k = n-1
-        for n in range(2, 5):
-            N = n + 1
-            assert n * N - stratum_dimension(n - 1, N, n) == N - n
-
-    def test_codimension_requires_more_agents(self):
-        with pytest.raises(RequiresNGreaterThanN):
-            codimension_bound_holds(3, 3)
-
-
 class TestLocalChart:
     def make(self, n, N, k, seed=0):
         p = sample_configuration(n, N, "rank_k", k=k, seed=seed)
@@ -268,7 +226,8 @@ class TestLocalChart:
     def test_forced_zero_count(self, n, N, k):
         _, ch = self.make(n, N, k)
         assert len(ch.forced_zero_indices) == (n - k) * (N - k - 1)
-        assert len(ch.forced_zero_indices) == n * N - stratum_dimension(k, N, n)
+        # the rank-k stratum has dimension -k^2 + k(N+n-1) + n
+        assert len(ch.forced_zero_indices) == n * N - (-k * k + k * (N + n - 1) + n)
 
     def test_frame_shape_and_orthogonality(self):
         _, ch = self.make(3, 5, 2)

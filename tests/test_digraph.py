@@ -12,7 +12,6 @@ from formctl.digraph import (
     Digraph,
     StructuralKind,
     coarse_scd,
-    format_graph_text,
     is_weakly_connected,
     load_graph,
     parse_graph_text,
@@ -25,6 +24,7 @@ from formctl.errors import InputFormatError, InvalidIndices, NotWeaklyConnected
 from helpers import (
     digraphs,
     edge_reachability,
+    format_graph_text,
     minimum_scd_partitions,
     random_connected_digraph,
 )

@@ -22,7 +22,6 @@ from formctl.dynamics import (
     format_trajectory_csv,
     parse_control_schedule_csv,
     parse_graph_schedule,
-    parse_trajectory_csv,
     parse_waypoints,
     simulate,
     steer,
@@ -38,6 +37,8 @@ from formctl.errors import (
     StructuralFailure,
     UnknownEdge,
 )
+
+from helpers import parse_trajectory_csv
 
 
 def two_agent_line():
@@ -431,6 +432,19 @@ class TestSteer:
         assert math.isfinite(result.residual)
         assert result.residual < np.linalg.norm(p1.coords - p0.coords)
 
+    def test_states_are_the_reported_flow(self):
+        g, p0, p1 = tracked_pair()
+        result = steer(g, p0, p1, 3, 1.0)
+        assert len(result.states) == 4
+        assert result.states[0] == p0
+        miss = float(np.linalg.norm(result.states[-1].coords - p1.coords))
+        assert miss == result.residual
+        scale = max(1.0, float(np.abs(p0.coords).max()))
+        p = p0
+        for k, u in enumerate(result.controls.values):
+            p = flow_constant(g, u, p, result.controls.grid[k + 1] - result.controls.grid[k])
+            assert np.abs(p.coords - result.states[k + 1].coords).max() < 1e-12 * scale
+
     def test_stall_is_reported_not_raised(self):
         g, p0, p1 = tracked_pair(2)
         result = steer(g, p0, p1, 2, 1e-4,
@@ -459,6 +473,57 @@ class TestTrackPath:
         assert all(r <= 0.005 for r in result.leg_residuals)
         assert result.trajectory.times[0] == 0.0
         assert result.trajectory.times[-1] == 1.0
+
+    def test_computes_each_flow_only_inside_steer(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tracking recomputed a flow")
+
+        built = []
+
+        class CountingMap(dynamics._ShootingMap):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(dynamics, "simulate", forbidden)
+        monkeypatch.setattr(dynamics, "flow_constant", forbidden)
+        monkeypatch.setattr(dynamics, "_ShootingMap", CountingMap)
+        sched, wps = switch_track_setup()
+        result = track_path(sched, wps, 0.01)
+        assert len(built) == len(result.leg_residuals) == 2
+
+    @pytest.mark.parametrize("uneven", [False, True])
+    def test_trajectory_sampled_at_control_breakpoints(self, uneven):
+        sched, wps = switch_track_setup()
+        if uneven:
+            sched = GraphSchedule.constant(Digraph.complete(4), 0.9)
+            wps = [(0.0, wps[0][1]), (0.4, wps[1][1]), (0.9, wps[2][1])]
+        result = track_path(sched, wps, 0.01, opts=TrackOptions(segments_per_leg=3))
+        traj, controls = result.trajectory, result.controls
+        assert traj.times == controls.grid
+        assert len(traj.times) == 7
+        assert traj.states[0] == wps[0][1]
+        scale = max(1.0, max(float(np.abs(p.coords).max()) for _, p in wps))
+        for k, u in enumerate(controls.values):
+            a, b = controls.grid[k], controls.grid[k + 1]
+            p = flow_constant(sched.active(a), u, traj.states[k], b - a)
+            assert np.abs(p.coords - traj.states[k + 1].coords).max() < 1e-12 * scale
+
+    def test_final_state_is_last_legs_steered_state(self, monkeypatch):
+        results = []
+
+        def recording_steer(*args, **kwargs):
+            results.append(steer(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(dynamics, "steer", recording_steer)
+        sched, wps = switch_track_setup()
+        result = track_path(sched, wps, 0.01)
+        assert len(results) == 2
+        assert np.array_equal(result.trajectory.final.coords, results[-1].states[-1].coords)
+        assert result.max_deviation == max(
+            float(np.linalg.norm(r.states[-1].coords - p.coords))
+            for r, (_, p) in zip(results, wps[1:]))
 
     def test_start_offset_counts_toward_deviation(self):
         sched, wps = switch_track_setup()
@@ -580,8 +645,3 @@ class TestFileFormats:
         assert back.times == traj.times
         for a, b in zip(back.states, traj.states):
             assert np.array_equal(a.coords, b.coords)
-
-    def test_trajectory_csv_rejects_gaps(self):
-        text = "t,agent,x1\n0,1,0.0\n0,3,1.0\n"
-        with pytest.raises(InputFormatError):
-            parse_trajectory_csv(text)

@@ -24,12 +24,12 @@ from formctl.larc import (
     format_witness_csv,
     larc_passes,
     lie_algebra_at,
-    lift_block_diagonal,
 )
-from formctl.liealg import ZeroRowSumMatrix, bracket, edge_generator
+from formctl.liealg import EdgeGenerator, ZeroRowSumMatrix, bracket
 
 from helpers import (
     digraphs,
+    lift_block_diagonal,
     random_connected_digraph,
     random_zero_row_sum,
     sink_component_graph,
@@ -45,7 +45,7 @@ class TestLift:
 
     def test_edge_field_support(self):
         p = Configuration.from_agents([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-        field = lift_block_diagonal(edge_generator(1, 2, 3), 2) @ p.coords
+        field = lift_block_diagonal(EdgeGenerator(1, 2, 3).dense(), 2) @ p.coords
         # coordinate-major: agent 1 occupies slots 0 and 3
         assert field[0] == 3.0 and field[3] == 4.0
         assert not np.any(np.delete(field, [0, 3]))
@@ -73,7 +73,7 @@ class TestLift:
         p = sample_configuration(2, 4, "rank_k", k=2, seed=9)
         wb = construct_witness_basis(p, Digraph.cycle(4))
         for v in wb.vectors:
-            expected = lift_block_diagonal(edge_generator(*v.edge, 4), 2) @ p.coords
+            expected = lift_block_diagonal(EdgeGenerator(*v.edge, 4).dense(), 2) @ p.coords
             assert np.allclose(v.values, expected)
 
 

@@ -26,7 +26,6 @@ from formctl.liealg import (
     LieBasis,
     ZeroRowSumMatrix,
     bracket,
-    edge_generator,
     edge_generators,
     lie_closure,
     span_contains,
@@ -54,7 +53,7 @@ def zero_row_sum_matrices(draw, min_n: int = 2, max_n: int = 5, bound: int = 6):
 
 
 def A(i, j, n):
-    return edge_generator(i, j, n)
+    return EdgeGenerator(i, j, n).dense()
 
 
 class TestZeroRowSumMatrix:
@@ -89,19 +88,19 @@ class TestZeroRowSumMatrix:
 
 class TestEdgeGenerator:
     def test_definition_instances(self):
-        assert edge_generator(1, 2, 2).array.tolist() == [[-1, 1], [0, 0]]
-        assert edge_generator(2, 1, 2).array.tolist() == [[0, 0], [1, -1]]
+        assert A(1, 2, 2).array.tolist() == [[-1, 1], [0, 0]]
+        assert A(2, 1, 2).array.tolist() == [[0, 0], [1, -1]]
 
     def test_single_nonzero_row(self):
-        m = edge_generator(2, 4, 5).array
+        m = A(2, 4, 5).array
         assert m[1, 1] == -1 and m[1, 3] == 1
         assert np.count_nonzero(m) == 2
 
     def test_rejects_diagonal_and_out_of_range(self):
         with pytest.raises(InvalidIndices):
-            edge_generator(2, 2, 3)
+            EdgeGenerator(2, 2, 3)
         with pytest.raises(InvalidIndices):
-            edge_generator(1, 4, 3)
+            EdgeGenerator(1, 4, 3)
         with pytest.raises(InvalidIndices):
             EdgeGenerator(0, 1, 3)
 
