@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -339,3 +342,56 @@ class TestEntryPoint:
         code, err = refused(command, *inputs, "--tol", "1e-3")
         assert code == 2
         assert "--tol" in err
+
+
+# run in a fresh interpreter: scipy may already be imported by this one
+NO_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from formctl.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def fresh_python(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestWithoutScipy:
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        proc = fresh_python("-c", "import sys, formctl.cli; "
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        (tmp_path / "k4.txt").write_text(format_graph_text(Digraph.complete(4)))
+        for name, seed in (("p0.json", 5), ("p1.json", 6)):
+            p = sample_configuration(2, 4, seed=seed)
+            (tmp_path / name).write_text(format_configuration_json(p))
+        argvs = [
+            ["analyze", "--graph", "k4.txt", "--n", "2"],
+            ["steer", "--graph", "k4.txt", "--config", "p0.json", "--target", "p1.json",
+             "--segments", "3", "--T", "1.0", "--out", "controls.csv"],
+            ["simulate", "--graph", "k4.txt", "--config", "p0.json",
+             "--controls", "controls.csv", "--T", "1.0", "--dt", "0.1",
+             "--out", "traj.csv"],
+        ]
+        proc = fresh_python("-c", NO_SCIPY, json.dumps(argvs), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "converged: yes" in proc.stdout
+        final = parse_trajectory_csv((tmp_path / "traj.csv").read_text()).final
+        target = load_configuration(str(tmp_path / "p1.json"))
+        assert np.linalg.norm(final.coords - target.coords) < 1e-6

@@ -249,9 +249,10 @@ class TestTextFormat:
         text = "# a graph\n\nN 3\n1 2\n# middle\n2 3\n"
         assert parse_graph_text(text) == Digraph(3, [(1, 2), (2, 3)])
 
-    def test_serialization_sorted(self):
-        g = Digraph(3, [(3, 1), (1, 2), (1, 3)])
-        assert format_graph_text(g) == "N 3\n1 2\n1 3\n3 1\n"
+    def test_edge_lines_in_any_order(self):
+        g = parse_graph_text("N 3\n3 1\n1 2\n1 3\n")
+        assert g == parse_graph_text("N 3\n1 2\n1 3\n3 1\n")
+        assert g == Digraph(3, [(1, 2), (1, 3), (3, 1)])
 
     def test_missing_header(self):
         with pytest.raises(InputFormatError):

@@ -211,6 +211,108 @@ class TestFlowConstant:
         assert configuration_rank(q) == configuration_rank(p)
 
 
+def generator_stack(rng, N, S, norm):
+    """(S, N, N) stack of control matrices h M_s on K_N, largest 1-norm equal to norm."""
+    hm = np.zeros((S, N, N))
+    for i in range(N):
+        hm[:, i] = rng.uniform(-1, 1, size=(S, N))
+        hm[:, i, i] = 0.0
+        hm[:, i, i] = -hm[:, i].sum(axis=1)
+    return hm * (norm / np.abs(hm).sum(axis=1).max())
+
+
+def van_loan_stack(hm):
+    """(S, E, 2N, 2N) blocks [[hM_s, A_e], [0, hM_s]] over the edges of K_N."""
+    S, N, _ = hm.shape
+    edges = sorted(Digraph.complete(N).edges)
+    blocks = np.zeros((S, len(edges), 2 * N, 2 * N))
+    blocks[:, :, :N, :N] = hm[:, None]
+    blocks[:, :, N:, N:] = hm[:, None]
+    for k, (i, j) in enumerate(edges):
+        blocks[:, k, i - 1, N + i - 1] = -1.0
+        blocks[:, k, i - 1, N + j - 1] = 1.0
+    return blocks
+
+
+# largest 1-norms that select each Pade degree (3, 5, 7, 9, 13) and some
+# above the degree-13 bound 5.37, which are scaled and squared back
+PADE_NORMS = [0.01, 0.2, 0.9, 2.0, 2.4, 8.0, 60.0]
+
+
+def agreement(norm):
+    # above 5.37 both sides scale and square; scipy's own error there reaches
+    # 2.5e-13 of the scale against a 40-digit reference, so the reference
+    # test below holds expm to the tighter bound
+    return 1e-14 if norm <= 5.37 else 1e-12
+
+
+class TestExpm:
+    @pytest.mark.parametrize("norm", PADE_NORMS)
+    def test_segment_stack_matches_scipy(self, norm):
+        linalg = pytest.importorskip("scipy.linalg")
+        hm = generator_stack(np.random.default_rng(5), 5, 6, norm)
+        got, ref = dynamics.expm(hm), linalg.expm(hm)
+        scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(got - ref) / scale) <= agreement(norm)
+
+    @pytest.mark.parametrize("norm", PADE_NORMS)
+    def test_van_loan_stack_matches_scipy(self, norm):
+        linalg = pytest.importorskip("scipy.linalg")
+        blocks = van_loan_stack(generator_stack(np.random.default_rng(8), 4, 3, 1.0))
+        blocks *= norm / np.abs(blocks).sum(axis=-2).max()
+        got, ref = dynamics.expm(blocks), linalg.expm(blocks)
+        scale = np.abs(ref).max(axis=(2, 3), keepdims=True)
+        assert np.max(np.abs(got - ref) / scale) <= agreement(norm)
+
+    @pytest.mark.parametrize("norm", [8.0, 60.0])
+    def test_scaled_stack_matches_high_precision_reference(self, norm):
+        mpmath = pytest.importorskip("mpmath")
+        hm = generator_stack(np.random.default_rng(5), 5, 6, norm)
+        got = dynamics.expm(hm)
+        for s in range(6):
+            with mpmath.workdps(40):
+                ref = np.array(mpmath.expm(mpmath.matrix(hm[s].tolist())).tolist(),
+                               dtype=float)
+            assert np.max(np.abs(got[s] - ref)) <= 5e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("norm", [0.3, 1.5, 6.0])
+    def test_van_loan_block_is_the_frechet_derivative(self, norm):
+        linalg = pytest.importorskip("scipy.linalg")
+        hm = generator_stack(np.random.default_rng(13), 4, 2, norm)
+        blocks = van_loan_stack(hm)
+        frechet = dynamics.expm(blocks)[:, :, :4, 4:]
+        for s in range(2):
+            for e in range(blocks.shape[1]):
+                ref = linalg.expm_frechet(hm[s], blocks[s, e, :4, 4:], compute_expm=False)
+                assert np.max(np.abs(frechet[s, e] - ref)) <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("norm", PADE_NORMS)
+    def test_agent_without_controls_stays_fixed_exactly(self, norm):
+        # agent 3 has no outgoing control on any segment: its row is e_3, bit for bit
+        hm = generator_stack(np.random.default_rng(21), 4, 5, 1.0)
+        hm[:, 2] = 0.0
+        hm *= norm / np.abs(hm).sum(axis=1).max()
+        exps = dynamics.expm(hm)
+        assert np.array_equal(exps[:, 2], np.tile(np.eye(4)[2], (5, 1)))
+        assert not np.array_equal(exps[:, 1], np.tile(np.eye(4)[1], (5, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slice_gives_nan(self, bad):
+        hm = generator_stack(np.random.default_rng(3), 4, 4, 1.0)
+        hm[2, 1, 3] = bad
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            exps = dynamics.expm(hm)
+            frechet = dynamics.expm(van_loan_stack(hm))
+        assert exps.shape == hm.shape and np.isnan(exps).all()
+        assert frechet.shape == (4, 12, 8, 8) and np.isnan(frechet).all()
+
+    def test_matrix_and_empty_stack(self):
+        m = generator_stack(np.random.default_rng(4), 3, 1, 1.0)
+        assert np.array_equal(dynamics.expm(m[0]), dynamics.expm(m)[0])
+        assert dynamics.expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
 def switching_setup():
     g1 = Digraph(3, [(1, 2), (2, 3), (3, 1)])
     g2 = Digraph(3, [(1, 3), (2, 1), (3, 2)])
