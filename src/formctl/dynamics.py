@@ -5,9 +5,11 @@ p -> D(exp(h M)) p with M the weighted sum of edge generators, and D
 repeating a matrix once per coordinate. Only the small N-by-N exponential is
 ever formed, by expm, a batched scaling-and-squaring Pade approximant in
 numpy. Steering composes these exact flows and solves the two-point
-problem by damped Gauss-Newton shooting on the stacked control values, with
-the exact Jacobian from Frechet derivatives of the segment exponentials;
-tracking replans leg by leg across graph switches.
+problem by damped Gauss-Newton shooting on the stacked control values. The
+exact Jacobian comes in adjoint form, from one Frechet derivative of a
+segment exponential per (segment, coordinate, agent) whatever the edge
+count, and every damped step tried at one Jacobian from a single thin SVD
+of it. Tracking replans leg by leg across graph switches.
 """
 
 from __future__ import annotations
@@ -440,25 +442,41 @@ class _ShootingMap:
     def jacobian(self, fwd: _ForwardPass) -> np.ndarray:
         """d x_S / d theta, one column per (segment, edge), rows as coords.
 
-        Column (s, e) is x_{s-1} (Suf_s L(hM_s, hA_e))^T with the suffix
-        product Suf_s = E_S ... E_{s+1} and L the Frechet derivative of the
-        exponential. Every L is the upper-right block of the exponential of
-        the Van Loan block [[hM_s, hA_e], [0, hM_s]]; all S E blocks go
-        through one expm call, the routine that gives the segment flows.
+        Adjoint form (Giles 2008): entry (d, k) of x_S is lam^T E_s x with
+        x = x_{s-1,d} and lam row k of the suffix product Suf_s = E_S ...
+        E_{s+1}, so its derivative along hA_e is <L(hM_s^T, lam x^T), hA_e>
+        = h (G[i,j] - G[i,i]) for the edge e = (i, j), with L the Frechet
+        derivative of the exponential. Each G is the upper-right block of the
+        exponential of the Van Loan block [[hM_s^T, lam x^T], [0, hM_s^T]]
+        (Al-Mohy & Higham 2009); all S n N blocks, however many edges the
+        graph has, go through one expm call, the routine that gives the
+        segment flows. Every lam and x is first scaled by a power of two to
+        largest entry in [1/2, 1), and the scale is undone exactly on the
+        result, which is linear in lam x^T: a large state would otherwise
+        inflate the blocks' norms and the squarings, and with them the error.
         """
-        S, (E, N, _) = self.segments, self.h_generators.shape
-        blocks = np.zeros((S, E, 2 * N, 2 * N))
-        blocks[:, :, :N, :N] = fwd.hm[:, None]
-        blocks[:, :, N:, N:] = fwd.hm[:, None]
-        blocks[:, :, :N, N:] = self.h_generators
-        frechet = expm(blocks)[:, :, :N, N:]
+        S, (n, N) = self.segments, self.x0.shape
         suffix = np.empty_like(fwd.exps)
         suffix[-1] = np.eye(N)
         for s in range(S - 1, 0, -1):
             suffix[s - 1] = suffix[s] @ fwd.exps[s]
-        d_exps = suffix[:, None] @ frechet
-        cols = fwd.states[:-1, None] @ d_exps.transpose(0, 1, 3, 2)
-        return cols.reshape(S * E, self.x0.size).T
+        lam, lam_exp = _unit_rows(suffix)
+        x, x_exp = _unit_rows(fwd.states[:-1])
+        blocks = np.zeros((S, n, N, 2 * N, 2 * N))
+        hm_t = fwd.hm.transpose(0, 2, 1)[:, None, None]
+        blocks[..., :N, :N] = hm_t
+        blocks[..., N:, N:] = hm_t
+        blocks[..., :N, N:] = lam[:, None, :, :, None] * x[:, :, None, None, :]
+        frechet = expm(blocks)[..., :N, N:]
+        cols = np.tensordot(frechet, self.h_generators, axes=([3, 4], [1, 2]))
+        cols = np.ldexp(cols, (lam_exp[:, None, :] + x_exp[:, :, None])[..., None])
+        return cols.transpose(1, 2, 0, 3).reshape(n * N, -1)
+
+
+def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a with each row scaled by 2^-e to largest magnitude in [1/2, 1), and the e."""
+    _, e = np.frexp(np.abs(a).max(axis=-1))
+    return np.ldexp(a, -e[..., None]), e
 
 
 def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
@@ -526,22 +544,25 @@ def _gauss_newton(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
     states are the forward pass's x_0 .. x_S at the returned theta.
     """
     states, r, res, jac = _evaluate(shooting, target, theta, opts.tolerance)
+    svd = None
     lam = 1e-3
     last_improvement = math.inf
     iters = 0
     while iters < opts.max_iterations and opts.tolerance < res < math.inf:
         iters += 1
         try:
-            step = _damped_step(jac, r, lam)
+            if svd is None:
+                svd = np.linalg.svd(jac, full_matrices=False)
         except np.linalg.LinAlgError:
             lam *= 10
             continue
-        trial = theta + step
+        trial = theta + _damped_step(svd, r, lam)
         states_trial, r_trial, res_trial, jac_trial = _evaluate(
             shooting, target, trial, opts.tolerance)
         if res_trial < res:
             last_improvement = res - res_trial
             theta, states, r, res, jac = trial, states_trial, r_trial, res_trial, jac_trial
+            svd = None
             lam = max(lam / 10, 1e-15)
         else:
             lam *= 10
@@ -551,15 +572,15 @@ def _gauss_newton(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
     return theta, states, res, iters, stalled
 
 
-def _damped_step(jac: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (J^T J + lam I) step = -J^T r by the normal equations.
+def _damped_step(svd: Sequence[np.ndarray], r: np.ndarray, lam: float) -> np.ndarray:
+    """Minimiser of |J step + r|^2 + lam |step|^2 from the thin SVD J = U S V^T.
 
-    lam is added to the diagonal in place, and the dim x dim matrices are
-    freed on return, before the trial point's Jacobian stack is built.
+    step = -V diag(s / (s^2 + lam)) U^T r is the solution of (J^T J + lam I)
+    step = -J^T r without forming J^T J, whose condition number is the
+    square of J's; the one SVD serves every lam tried at that Jacobian.
     """
-    damped = jac.T @ jac
-    damped[np.diag_indices_from(damped)] += lam
-    return np.linalg.solve(damped, -jac.T @ r)
+    u, s, vt = svd
+    return -(s / (s * s + lam) * (r @ u)) @ vt
 
 
 def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,

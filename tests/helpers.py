@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from formctl.configspace import Configuration
 from formctl.digraph import Digraph
-from formctl.dynamics import Trajectory
+from formctl.dynamics import Trajectory, expm
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -216,6 +216,29 @@ def sink_component_graph(rng: random.Random, n_comps: int, comp_sizes: list[int]
 def lift_block_diagonal(a, n: int) -> np.ndarray:
     """Matrix of D(a) = Diag(a, ..., a) with n blocks, acting coordinate-major."""
     return np.kron(np.eye(n, dtype=np.int64), a.array)
+
+
+def forward_jacobian(shooting, fwd) -> np.ndarray:
+    """Shooting Jacobian in forward form, the oracle for the adjoint one.
+
+    Column (s, e) is x_{s-1} (Suf_s L(hM_s, hA_e))^T with the suffix product
+    Suf_s = E_S ... E_{s+1} and L the Frechet derivative of the exponential,
+    read from the Van Loan blocks [[hM_s, hA_e], [0, hM_s]]: S E blocks, one
+    per (segment, edge).
+    """
+    S, (E, N, _) = shooting.segments, shooting.h_generators.shape
+    blocks = np.zeros((S, E, 2 * N, 2 * N))
+    blocks[:, :, :N, :N] = fwd.hm[:, None]
+    blocks[:, :, N:, N:] = fwd.hm[:, None]
+    blocks[:, :, :N, N:] = shooting.h_generators
+    frechet = expm(blocks)[:, :, :N, N:]
+    suffix = np.empty_like(fwd.exps)
+    suffix[-1] = np.eye(N)
+    for s in range(S - 1, 0, -1):
+        suffix[s - 1] = suffix[s] @ fwd.exps[s]
+    d_exps = suffix[:, None] @ frechet
+    cols = fwd.states[:-1, None] @ d_exps.transpose(0, 1, 3, 2)
+    return cols.reshape(S * E, shooting.x0.size).T
 
 
 # -- file format halves the library itself never needs ---------------------

@@ -38,7 +38,7 @@ from formctl.errors import (
     UnknownEdge,
 )
 
-from helpers import parse_trajectory_csv
+from helpers import forward_jacobian, parse_trajectory_csv
 
 
 def two_agent_line():
@@ -516,6 +516,43 @@ class TestSteer:
                            SteerOptions(max_iterations=4, multi_start=1))
             assert result.iterations == 4
             assert result.iterations + 2 <= len(calls) <= 2 * result.iterations + 2
+            # the Jacobian's stack holds S n N blocks of 2N x 2N, whatever E is
+            assert set(calls) == {(3, N, N), (3, 2, N, 2 * N, 2 * N)}
+
+    @pytest.mark.parametrize("graph, segments, scale", [
+        (Digraph.complete(5), 6, 1.0),
+        (Digraph.complete(8), 8, 1.0),
+        (Digraph(6, [(i, i % 6 + 1) for i in range(1, 7)]), 6, 1.0),
+        # without the power-of-two scaling of the directions this misses by 2.7e-13
+        (Digraph.complete(5), 6, 1e3),
+    ])
+    def test_adjoint_jacobian_matches_forward_form(self, graph, segments, scale):
+        rng = np.random.default_rng(3)
+        x0 = scale * rng.standard_normal((2, graph.num_vertices))
+        theta = rng.uniform(-0.5, 0.5, size=segments * len(graph.edges))
+        shooting = dynamics._ShootingMap(graph, x0, segments, 1.0 / segments)
+        fwd = shooting.forward(theta)
+        ref = forward_jacobian(shooting, fwd)
+        got = shooting.jacobian(fwd)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0])
+    @pytest.mark.parametrize("graph, n, segments", [
+        (Digraph.complete(5), 2, 6),                              # J is 10 x 120
+        (Digraph(5, [(i, i % 5 + 1) for i in range(1, 6)]), 3, 2),  # J is 15 x 10
+    ])
+    def test_svd_step_solves_the_normal_equations(self, graph, n, segments, lam):
+        rng = np.random.default_rng(7)
+        x0 = rng.standard_normal((n, graph.num_vertices))
+        theta = rng.uniform(-0.5, 0.5, size=segments * len(graph.edges))
+        shooting = dynamics._ShootingMap(graph, x0, segments, 1.0 / segments)
+        jac = shooting.jacobian(shooting.forward(theta))
+        r = rng.standard_normal(x0.size)
+        normal = jac.T @ jac + lam * np.eye(jac.shape[1])
+        ref = np.linalg.solve(normal, -jac.T @ r)
+        got = dynamics._damped_step(np.linalg.svd(jac, full_matrices=False), r, lam)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_overflowing_trial_is_rejected_not_raised(self):
         # a trial step from this collinear, far target overflows the flow
