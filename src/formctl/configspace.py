@@ -75,11 +75,19 @@ def _rank_of(s: np.ndarray) -> int:
 
 
 def numeric_rank(mat: np.ndarray) -> int:
-    """Numeric rank of a 2-D array under the package's one rank rule."""
+    """Numeric rank of a 2-D array under the one rank rule; refuses non-finite input."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or min(a.shape) == 0:
         return 0
-    return _rank_of(np.linalg.svd(a, compute_uv=False))
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:
+        if np.all(np.isfinite(a)):
+            raise
+        raise SizeMismatch("coordinates must be finite") from None
+    if not math.isfinite(s[0]):
+        raise SizeMismatch("coordinates must be finite")
+    return _rank_of(s)
 
 
 class Configuration:
@@ -435,6 +443,9 @@ def affine_hull(points: Sequence) -> AffineSubspace:
     if len(pts) == 1:
         return AffineSubspace(base, np.zeros((base.size, 0)))
     diffs = np.column_stack([q - base for q in pts[1:]])
+    # checked first: LAPACK's SVD with vectors can loop forever on inf entries
+    if not np.all(np.isfinite(diffs)):
+        raise SizeMismatch("coordinates must be finite")
     u, s, _ = np.linalg.svd(diffs, full_matrices=False)
     return AffineSubspace(base, u[:, :_rank_of(s)])
 

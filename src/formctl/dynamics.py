@@ -357,17 +357,14 @@ def simulate(schedule: GraphSchedule, controls: ControlSchedule,
             f"configuration has {p0.N} agents")
     if dt <= 0:
         raise StepTooLarge(f"dt must be positive, got {dt}")
-    breakpoints = [0.0, schedule.horizon]
-    breakpoints.extend(schedule.switch_times)
+    # the validated grid holds every switch and both ends, to within _TIME_EPS
     controls.validate_against(schedule)
-    breakpoints.extend(controls.grid)
-    breakpoints = sorted(set(breakpoints))
-    min_gap = min(b - a for a, b in zip(breakpoints, breakpoints[1:]))
+    min_gap = min(b - a for a, b in zip(controls.grid, controls.grid[1:]))
     if dt > min_gap * (1 + 1e-9):
         raise StepTooLarge(
             f"dt={dt} exceeds the smallest breakpoint interval {min_gap}")
 
-    times = _sample_grid(breakpoints, dt, schedule.horizon)
+    times = _sample_grid(controls.grid, dt, schedule.horizon)
     states = [p0]
     current = p0
     for a, b in zip(times, times[1:]):

@@ -5,7 +5,8 @@ the closure algebra, where D(A) repeats A once per coordinate. By the
 closure characterization, their span is determined by the transitive closure
 of the interaction graph, and because the field of edge i->j is supported on
 agent i's coordinate slots alone, the span dimension decomposes into a sum
-of small per-agent ranks.
+of small per-agent ranks. One helper takes those ranks, both for the rank
+condition and for the witness certificate.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ def _field_at(i: int, j: int, p: Configuration) -> np.ndarray:
     return out
 
 
+def _field_rank(pts: np.ndarray, i: int, targets) -> int:
+    """rank{x_j - x_i : j in targets}, the span of agent i's fields toward targets."""
+    return numeric_rank((pts[[j - 1 for j in targets]] - pts[i - 1]).T)
+
+
 @dataclass(frozen=True)
 class LarcReport:
     """Span dimension of the control fields at one configuration."""
@@ -75,14 +81,7 @@ def lie_algebra_at(p: Configuration, g: Digraph) -> LarcReport:
             f"graph has {g.num_vertices} vertices, configuration has {p.N} agents")
     closed = transitive_closure(g)
     pts = p.agents
-    ranks = []
-    for i in range(1, p.N + 1):
-        nbrs = closed.adjacency[i - 1]
-        if not nbrs:
-            ranks.append(0)
-            continue
-        diffs = pts[[j - 1 for j in nbrs]] - pts[i - 1]
-        ranks.append(numeric_rank(diffs.T))
+    ranks = [_field_rank(pts, i, closed.adjacency[i - 1]) for i in range(1, p.N + 1)]
     return LarcReport(sum(ranks), p.n * p.N, tuple(ranks), len(closed.edges))
 
 
@@ -100,24 +99,19 @@ class WitnessVector:
     values: tuple[float, ...]
 
 
+@dataclass(frozen=True, eq=False)
 class WitnessBasis:
     """Explicit nN independent control fields certifying the rank condition."""
 
-    __slots__ = ("n", "N", "vectors")
-
-    def __init__(self, n: int, N: int, vectors: tuple[WitnessVector, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "vectors", vectors)
+    n: int
+    N: int
+    vectors: tuple[WitnessVector, ...]
 
     @property
     def matrix(self) -> np.ndarray:
         """(nN, count) matrix with one witness field per column."""
         return np.column_stack([np.asarray(v.values) for v in self.vectors]) \
             if self.vectors else np.zeros((self.n * self.N, 0))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WitnessBasis is immutable")
 
     def __repr__(self) -> str:
         return f"WitnessBasis(n={self.n}, N={self.N}, count={len(self.vectors)})"
@@ -132,7 +126,9 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
     simplex there is extended with the agent's position and the n fields
     toward the kept simplex agents are emitted. All generating edges lie in
     the transitive closure, so the result spans a subspace of the control
-    span; its rank is checked to be exactly nN.
+    span. Every agent is the source of exactly n fields in its own slots, so
+    the certificate holds iff each agent's n fields have rank n, counted by
+    the same per-agent rule as ``lie_algebra_at``.
     """
     n = p.n
     scd = coarse_scd(g)
@@ -147,21 +143,27 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
         raise NotInControllableSet(
             f"maximal components {failing} are degenerate at this configuration")
 
+    pts = p.agents
+    vectors: list[WitnessVector] = []
+
+    def emit(kind: str, w: int, i: int, targets) -> None:
+        if _field_rank(pts, i, targets) != n:
+            raise StructuralFailure(f"witness fields of agent {i} are numerically dependent")
+        vectors.extend(WitnessVector(kind, w, (i, j), tuple(_field_at(i, j, p)))
+                       for j in targets)
+
     closed = transitive_closure(g)
     maximal = sorted(scd.maximal_set)
-    simplices: dict[int, tuple[int, ...]] = {}
-    vectors: list[WitnessVector] = []
+    simplices: dict[int, tuple[tuple[int, ...], Configuration]] = {}
     for w in maximal:
         comp = scd.components[w - 1]
         local = find_nondegenerate_simplex(p.subconfiguration(comp))
-        simplices[w] = tuple(comp[l - 1] for l in local)
-        for a in simplices[w]:
-            for b in simplices[w]:
-                if a != b:
-                    vectors.append(WitnessVector(
-                        "simplex", w, (a, b), tuple(_field_at(a, b, p))))
+        simplex = tuple(comp[l - 1] for l in local)
+        simplices[w] = (simplex, p.subconfiguration(simplex))
+        for a in simplex:
+            emit("simplex", w, a, [b for b in simplex if b != a])
 
-    in_simplex = {a for idx in simplices.values() for a in idx}
+    in_simplex = {a for simplex, _ in simplices.values() for a in simplex}
     for j in range(1, p.N + 1):
         if j in in_simplex:
             continue
@@ -170,20 +172,10 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
             # smallest-label maximal component that j reaches
             w = next(m for m in maximal
                      if (j, scd.components[m - 1][0]) in closed.edges)
-        simplex_conf = p.subconfiguration(simplices[w])
+        simplex, simplex_conf = simplices[w]
         kept_local = extend_simplex_with_point(simplex_conf, p.agent(j))
-        for l in kept_local:
-            k = simplices[w][l - 1]
-            vectors.append(WitnessVector(
-                "attachment", w, (j, k), tuple(_field_at(j, k, p))))
-
-    basis = WitnessBasis(n, p.N, tuple(vectors))
-    if len(vectors) != n * p.N:
-        raise StructuralFailure(
-            f"witness construction produced {len(vectors)} vectors, expected {n * p.N}")
-    if numeric_rank(basis.matrix) != n * p.N:
-        raise StructuralFailure("witness vectors are numerically dependent")
-    return basis
+        emit("attachment", w, j, [simplex[l - 1] for l in kept_local])
+    return WitnessBasis(n, p.N, tuple(vectors))
 
 
 # -- serialization ---------------------------------------------------------

@@ -241,6 +241,20 @@ def forward_jacobian(shooting, fwd) -> np.ndarray:
     return cols.reshape(S * E, shooting.x0.size).T
 
 
+def two_k4_sinks(scale: float = 1e-9, seed: int = 0) -> tuple[Digraph, Configuration]:
+    """Two K4 sinks fed by source 9, in the plane; the second sink shrunk by scale.
+
+    Each agent's fields still span R^2 at their own scale, but the smallest
+    singular values of the whole witness matrix fall below RANK_TOL times
+    its largest.
+    """
+    edges = [(a, b) for block in (range(1, 5), range(5, 9))
+             for a in block for b in block if a != b]
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(9, 2))
+    pts[4:8] *= scale
+    return Digraph(9, edges + [(9, 1), (9, 5)]), Configuration.from_agents(pts)
+
+
 # -- file format halves the library itself never needs ---------------------
 
 def format_graph_text(g: Digraph) -> str:

@@ -19,7 +19,7 @@ from formctl.configspace import (
 from formctl.digraph import Digraph
 from formctl.dynamics import parse_control_schedule_csv
 
-from helpers import format_graph_text, parse_trajectory_csv
+from helpers import format_graph_text, parse_trajectory_csv, two_k4_sinks
 
 
 def invoke(*argv):
@@ -135,6 +135,15 @@ class TestWitness:
         rows = [r for r in target.read_text().splitlines() if r.strip()]
         assert len(rows) == 10
         assert all(len(r.split(",")) == 11 for r in rows)
+
+    def test_certifies_a_sink_at_scale_1e_minus_9(self, workdir):
+        g, p = two_k4_sinks(1e-9)
+        (workdir / "sinks.txt").write_text(format_graph_text(g))
+        (workdir / "sinks.json").write_text(format_configuration_json(p))
+        code, out, err = invoke("witness", "--graph", workdir / "sinks.txt",
+                                "--config", workdir / "sinks.json")
+        assert (code, err) == (0, "")
+        assert "witness vectors: 18" in out
 
     def test_refuses_small_components(self, workdir):
         p = workdir / "p3.json"

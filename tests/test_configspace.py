@@ -120,6 +120,18 @@ class TestRanks:
         with pytest.raises(IndexOutOfRange):
             configuration_rank(p, [3])
 
+    @pytest.mark.parametrize("call", [
+        lambda: Configuration(2, 1, [np.nan, 0.0]),
+        lambda: numeric_rank(np.array([[np.nan, 0.0], [1.0, 1.0]])),
+        lambda: numeric_rank(np.array([[np.inf, 0.0], [1.0, 1.0]])),
+        lambda: extend_simplex_with_point(config([[0, 0], [1, 0], [0, 1]]), [np.nan, 0.0]),
+        lambda: affine_hull([[0.0, 0.0], [np.nan, 1.0]]),
+        lambda: affine_hull([[0.0, 0.0], [np.inf, 1.0]]),
+    ], ids=["Configuration", "rank-nan", "rank-inf", "extend-nan", "hull-nan", "hull-inf"])
+    def test_non_finite_input_is_refused_like_a_configuration(self, call):
+        with pytest.raises(SizeMismatch, match="must be finite"):
+            call()
+
     def test_numeric_rank_empty(self):
         assert numeric_rank(np.zeros((2, 0))) == 0
         assert numeric_rank(np.zeros((3, 3))) == 0

@@ -354,6 +354,24 @@ class TestSimulate:
         traj = simulate(sched, cs, p0, 0.5)
         assert all(s is p0 for s in traj.states)
 
+    @pytest.mark.parametrize("switches, grid, horizon", [
+        ((0.3,), (0.0, 0.1 * 3, 0.6), 0.6),    # grid point 5.6e-17 past the switch
+        ((), (0.0, 0.3, 0.6, 0.3 * 3), 0.9),   # grid end 1.1e-16 short of the horizon
+    ])
+    def test_breakpoints_are_the_validated_grid(self, switches, grid, horizon):
+        g1, g2 = Digraph.cycle(3), Digraph(3, [(1, 3), (2, 1), (3, 2)])
+        segments = ((0.0, g1),) + tuple((t, g2) for t in switches)
+        sched = GraphSchedule(segments, horizon)
+        values = tuple({sorted(sched.active(t).edges)[0]: 0.7} for t in grid[:-1])
+        cs = ControlSchedule(grid, values)
+        p0 = Configuration.from_agents([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        traj = simulate(sched, cs, p0, 0.1)
+        assert min(b - a for a, b in zip(traj.times, traj.times[1:])) > 0.09
+        p = p0
+        for k, u in enumerate(values):
+            p = flow_constant(sched.active(grid[k]), u, p, grid[k + 1] - grid[k])
+        assert np.max(np.abs(traj.final.coords - p.coords)) < 1e-12
+
     def test_step_too_large(self):
         sched, cs, p0 = switching_setup()
         with pytest.raises(StepTooLarge):

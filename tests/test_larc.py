@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formctl import digraph
+from formctl import digraph, larc
 from formctl.configspace import (
     Configuration,
     configuration_rank,
@@ -34,6 +34,7 @@ from helpers import (
     random_zero_row_sum,
     sink_component_graph,
     stacked_field_rank,
+    two_k4_sinks,
 )
 
 
@@ -233,6 +234,28 @@ class TestWitnessBasis:
         p = Configuration.from_agents([[float(i), 0.0] for i in range(4)])
         with pytest.raises(NotInControllableSet):
             construct_witness_basis(p, g)
+
+    def test_certifies_wherever_the_rank_condition_passes(self):
+        # the second sink at scale 1e-9: every agent's fields have rank n
+        g, p = two_k4_sinks(1e-9)
+        assert lie_algebra_at(p, g).passes
+        wb = construct_witness_basis(p, g)
+        assert len(wb.vectors) == 18
+        assert sorted(v.edge[0] for v in wb.vectors) == sorted(list(range(1, 10)) * 2)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_ranks_only_per_agent_blocks(self, monkeypatch, scale):
+        shapes = []
+        numeric_rank = larc.numeric_rank
+
+        def recorded(mat):
+            shapes.append(np.shape(mat))
+            return numeric_rank(mat)
+
+        monkeypatch.setattr(larc, "numeric_rank", recorded)
+        g, p = two_k4_sinks(scale)
+        construct_witness_basis(p, g)
+        assert shapes == [(2, 2)] * 9
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
