@@ -363,11 +363,21 @@ def find_nondegenerate_simplex(p: Configuration) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def _leave_one_out(rows: np.ndarray, x: np.ndarray, drops) -> tuple[int, ...] | None:
+    """Kept rows (1-based) of the first face, dropping each of drops in turn,
+    whose differences from x, (rows[keep] - x).T, have rank n; else None."""
+    for drop in drops:
+        keep = [k for k in range(len(rows)) if k != drop - 1]
+        if numeric_rank((rows[keep] - x).T) == x.size:
+            return tuple(k + 1 for k in keep)
+    return None
+
+
 def extend_simplex_with_point(simplex: Configuration, x) -> tuple[int, ...]:
     """n of the n+1 simplex agents forming a non-degenerate set with x.
 
-    Scans dropped indices in ascending order and returns the kept indices of
-    the first success, so ties resolve to the smallest dropped index.
+    Drops indices in ascending order and returns the first kept set whose
+    differences from x have rank n, so ties go to the smallest dropped index.
     """
     n = simplex.n
     if simplex.N != n + 1:
@@ -377,13 +387,10 @@ def extend_simplex_with_point(simplex: Configuration, x) -> tuple[int, ...]:
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.size != n:
         raise SizeMismatch(f"point must lie in R^{n}, got length {point.size}")
-    pts = simplex.agents
-    for drop in range(1, n + 2):
-        keep = [i for i in range(1, n + 2) if i != drop]
-        candidate = np.vstack([pts[[i - 1 for i in keep]], point])
-        if numeric_rank((candidate[1:] - candidate[0]).T) == n:
-            return tuple(keep)
-    raise SimplexDegenerate("no leave-one-out choice is non-degenerate")
+    kept = _leave_one_out(simplex.agents, point, range(1, n + 2))
+    if kept is None:
+        raise SimplexDegenerate("no leave-one-out choice is non-degenerate")
+    return kept
 
 
 # -- affine subspaces ------------------------------------------------------
@@ -401,6 +408,8 @@ class AffineSubspace:
         if bs.ndim != 2 or bs.shape[0] != bp.size:
             raise DimensionMismatch(
                 f"basis shape {bs.shape} does not match ambient dimension {bp.size}")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(bs))):
+            raise SizeMismatch("coordinates must be finite")
         gram = bs.T @ bs
         if not np.allclose(gram, np.eye(bs.shape[1]), atol=1e-8):
             raise DimensionMismatch("basis columns must be orthonormal")

@@ -5,8 +5,9 @@ the closure algebra, where D(A) repeats A once per coordinate. By the
 closure characterization, their span is determined by the transitive closure
 of the interaction graph, and because the field of edge i->j is supported on
 agent i's coordinate slots alone, the span dimension decomposes into a sum
-of small per-agent ranks. One helper takes those ranks, both for the rank
-condition and for the witness certificate.
+of small per-agent ranks of the differences x_j - x_i. The witness ranks
+the same matrices: every agent takes the first face of its simplex whose
+differences from the agent have rank n.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .configspace import (
     Configuration,
+    _leave_one_out,
     find_nondegenerate_simplex,
-    extend_simplex_with_point,
     in_controllable_set,
     numeric_rank,
 )
@@ -40,14 +41,6 @@ __all__ = [
     "construct_witness_basis",
     "format_witness_csv",
 ]
-
-
-def _field_at(i: int, j: int, p: Configuration) -> np.ndarray:
-    """D(A_ij) p: the difference x_j - x_i in agent i's slots, coordinate-major."""
-    out = np.zeros(p.n * p.N)
-    diff = p.agent(j) - p.agent(i)
-    out[np.arange(p.n) * p.N + (i - 1)] = diff
-    return out
 
 
 def _field_rank(pts: np.ndarray, i: int, targets) -> int:
@@ -120,15 +113,14 @@ class WitnessBasis:
 def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
     """The explicit nN-vector certificate for a structurally sound pair.
 
-    Per maximal component: a non-degenerate simplex of n+1 of its agents
-    contributes the n(n+1) fields of all ordered simplex pairs. Every other
-    agent attaches to the smallest-label maximal component it reaches: the
-    simplex there is extended with the agent's position and the n fields
-    toward the kept simplex agents are emitted. All generating edges lie in
-    the transitive closure, so the result spans a subspace of the control
-    span. Every agent is the source of exactly n fields in its own slots, so
-    the certificate holds iff each agent's n fields have rank n, counted by
-    the same per-agent rule as ``lie_algebra_at``.
+    Each maximal component holds a non-degenerate simplex of n+1 agents.
+    Every agent takes the first face of a simplex whose differences from the
+    agent have rank n and emits the n fields toward it: a simplex agent the
+    face opposite itself, any other agent a face of the simplex of the
+    smallest-label maximal component it reaches, dropping indices in
+    ascending order. All generating edges lie in the transitive closure, so
+    the result spans a subspace of the control span; each agent's n fields
+    lie in its own slots with rank n, as ``lie_algebra_at`` counts it.
     """
     n = p.n
     scd = coarse_scd(g)
@@ -146,35 +138,32 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
     pts = p.agents
     vectors: list[WitnessVector] = []
 
-    def emit(kind: str, w: int, i: int, targets) -> None:
-        if _field_rank(pts, i, targets) != n:
+    def attach(kind: str, w: int, i: int, simplex: tuple[int, ...], drops) -> None:
+        kept = _leave_one_out(pts[[a - 1 for a in simplex]], pts[i - 1], drops)
+        if kept is None:
             raise StructuralFailure(f"witness fields of agent {i} are numerically dependent")
-        vectors.extend(WitnessVector(kind, w, (i, j), tuple(_field_at(i, j, p)))
-                       for j in targets)
+        targets = [simplex[l - 1] for l in kept]
+        fields = np.zeros((n, n * p.N))
+        fields[:, np.arange(n) * p.N + (i - 1)] = pts[[j - 1 for j in targets]] - pts[i - 1]
+        vectors.extend(WitnessVector(kind, w, (i, j), tuple(f)) for j, f in zip(targets, fields))
 
     closed = transitive_closure(g)
     maximal = sorted(scd.maximal_set)
-    simplices: dict[int, tuple[tuple[int, ...], Configuration]] = {}
+    simplices: dict[int, tuple[int, ...]] = {}
     for w in maximal:
         comp = scd.components[w - 1]
         local = find_nondegenerate_simplex(p.subconfiguration(comp))
-        simplex = tuple(comp[l - 1] for l in local)
-        simplices[w] = (simplex, p.subconfiguration(simplex))
-        for a in simplex:
-            emit("simplex", w, a, [b for b in simplex if b != a])
+        simplex = simplices[w] = tuple(comp[l - 1] for l in local)
+        for k, a in enumerate(simplex, start=1):
+            attach("simplex", w, a, simplex, [k])
 
-    in_simplex = {a for simplex, _ in simplices.values() for a in simplex}
-    for j in range(1, p.N + 1):
-        if j in in_simplex:
-            continue
+    for j in sorted(set(range(1, p.N + 1)).difference(*simplices.values())):
         w = scd.component_of(j)
         if w not in scd.maximal_set:
             # smallest-label maximal component that j reaches
             w = next(m for m in maximal
                      if (j, scd.components[m - 1][0]) in closed.edges)
-        simplex, simplex_conf = simplices[w]
-        kept_local = extend_simplex_with_point(simplex_conf, p.agent(j))
-        emit("attachment", w, j, [simplex[l - 1] for l in kept_local])
+        attach("attachment", w, j, simplices[w], range(1, n + 2))
     return WitnessBasis(n, p.N, tuple(vectors))
 
 

@@ -255,6 +255,21 @@ def two_k4_sinks(scale: float = 1e-9, seed: int = 0) -> tuple[Digraph, Configura
     return Digraph(9, edges + [(9, 1), (9, 5)]), Configuration.from_agents(pts)
 
 
+def far_source_k4() -> tuple[Digraph, Configuration]:
+    """A K4 sink at scale 1 fed by agent 5, about 2.3e5 away, through 5 -> 1.
+
+    With x_5, the simplex face {2, 3} has rank 2 as differences from agent 2
+    but rank 1 as differences from x_5, the fields agent 5 would emit; the
+    face {1, 3} has rank 2 from x_5.
+    """
+    sink = [[0.5653015835205883, -0.03538384824050378],
+            [0.9974851856996167, 0.9573939518361083],
+            [0.16970273981238648, -0.983872923043849], [-0.3, 0.4]]
+    edges = [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
+    return Digraph(5, edges + [(5, 1)]), Configuration.from_agents(
+        sink + [[91088.2523649101, 213490.06161589033]])
+
+
 # -- file format halves the library itself never needs ---------------------
 
 def format_graph_text(g: Digraph) -> str:

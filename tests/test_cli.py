@@ -19,7 +19,7 @@ from formctl.configspace import (
 from formctl.digraph import Digraph
 from formctl.dynamics import parse_control_schedule_csv
 
-from helpers import format_graph_text, parse_trajectory_csv, two_k4_sinks
+from helpers import far_source_k4, format_graph_text, parse_trajectory_csv, two_k4_sinks
 
 
 def invoke(*argv):
@@ -144,6 +144,15 @@ class TestWitness:
                                 "--config", workdir / "sinks.json")
         assert (code, err) == (0, "")
         assert "witness vectors: 18" in out
+
+    def test_certifies_an_attachment_at_the_rank_margin(self, workdir):
+        g, p = far_source_k4()
+        (workdir / "far.txt").write_text(format_graph_text(g))
+        (workdir / "far.json").write_text(format_configuration_json(p))
+        code, out, err = invoke("witness", "--graph", workdir / "far.txt",
+                                "--config", workdir / "far.json")
+        assert (code, err) == (0, "")
+        assert "witness rank 10 / 10: PASS" in out
 
     def test_refuses_small_components(self, workdir):
         p = workdir / "p3.json"

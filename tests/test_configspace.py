@@ -127,7 +127,12 @@ class TestRanks:
         lambda: extend_simplex_with_point(config([[0, 0], [1, 0], [0, 1]]), [np.nan, 0.0]),
         lambda: affine_hull([[0.0, 0.0], [np.nan, 1.0]]),
         lambda: affine_hull([[0.0, 0.0], [np.inf, 1.0]]),
-    ], ids=["Configuration", "rank-nan", "rank-inf", "extend-nan", "hull-nan", "hull-inf"])
+        lambda: AffineSubspace([np.nan, 0.0], [[1.0], [0.0]]),
+        lambda: AffineSubspace([np.inf, 0.0], [[1.0], [0.0]]),
+        lambda: AffineSubspace([0.0, 0.0], [[np.nan], [0.0]]),
+        lambda: affine_hull([[np.nan, 0.0]]),
+    ], ids=["Configuration", "rank-nan", "rank-inf", "extend-nan", "hull-nan", "hull-inf",
+            "subspace-nan", "subspace-inf", "subspace-basis-nan", "hull-point-nan"])
     def test_non_finite_input_is_refused_like_a_configuration(self, call):
         with pytest.raises(SizeMismatch, match="must be finite"):
             call()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formctl import digraph, larc
+from formctl import configspace, digraph, larc
 from formctl.configspace import (
     Configuration,
     configuration_rank,
@@ -29,6 +29,7 @@ from formctl.liealg import EdgeGenerator, ZeroRowSumMatrix, bracket
 
 from helpers import (
     digraphs,
+    far_source_k4,
     lift_block_diagonal,
     random_connected_digraph,
     random_zero_row_sum,
@@ -199,8 +200,9 @@ class TestWitnessBasis:
     def test_span_matches_control_span(self):
         p, g, wb = self.make()
         closed = transitive_closure(g)
-        from formctl.larc import _field_at
-        fields = np.column_stack([_field_at(i, j, p) for i, j in sorted(closed.edges)])
+        fields = np.column_stack([
+            lift_block_diagonal(EdgeGenerator(i, j, 4).dense(), 2) @ p.coords
+            for i, j in sorted(closed.edges)])
         both = np.column_stack([wb.matrix, fields])
         assert np.linalg.matrix_rank(both) == np.linalg.matrix_rank(wb.matrix) == 8
 
@@ -243,19 +245,29 @@ class TestWitnessBasis:
         assert len(wb.vectors) == 18
         assert sorted(v.edge[0] for v in wb.vectors) == sorted(list(range(1, 10)) * 2)
 
+    def test_certifies_an_attachment_at_the_rank_margin(self):
+        # the face a far agent attaches to is ranked from that agent
+        g, p = far_source_k4()
+        assert lie_algebra_at(p, g).passes
+        wb = construct_witness_basis(p, g)
+        assert len(wb.vectors) == 10
+        assert [v.edge for v in wb.vectors if v.edge[0] == 5] == [(5, 1), (5, 3)]
+
     @pytest.mark.parametrize("scale", [1.0, 1e-9])
     def test_ranks_only_per_agent_blocks(self, monkeypatch, scale):
+        # 2 square ranks in the simplex searches, then one certificate per agent
         shapes = []
-        numeric_rank = larc.numeric_rank
+        numeric_rank = configspace.numeric_rank
 
         def recorded(mat):
             shapes.append(np.shape(mat))
             return numeric_rank(mat)
 
+        monkeypatch.setattr(configspace, "numeric_rank", recorded)
         monkeypatch.setattr(larc, "numeric_rank", recorded)
         g, p = two_k4_sinks(scale)
         construct_witness_basis(p, g)
-        assert shapes == [(2, 2)] * 9
+        assert shapes.count((2, 2)) == 11
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
