@@ -40,11 +40,9 @@ from .digraph import (
     StructuralKind,
     StructuralVerdict,
     coarse_scd,
-    is_weakly_connected,
     load_graph,
     structural_verdict,
     transitive_closure,
-    verify_scd_closure_commutation,
 )
 from .dynamics import (
     ControlSchedule,

@@ -79,13 +79,11 @@ def numeric_rank(mat: np.ndarray) -> int:
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or min(a.shape) == 0:
         return 0
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError:
-        if np.all(np.isfinite(a)):
-            raise
-        raise SizeMismatch("coordinates must be finite") from None
-    if not math.isfinite(s[0]):
+    # checked first: LAPACK prints to stdout on some non-finite input
+    if not np.isfinite(a).all():
+        raise SizeMismatch("coordinates must be finite")
+    s = np.linalg.svd(a, compute_uv=False)
+    if math.isinf(s[0]):  # finite entries near the float limit can still overflow
         raise SizeMismatch("coordinates must be finite")
     return _rank_of(s)
 

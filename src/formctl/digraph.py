@@ -17,10 +17,8 @@ __all__ = [
     "ScdReport",
     "StructuralKind",
     "StructuralVerdict",
-    "is_weakly_connected",
     "coarse_scd",
     "transitive_closure",
-    "verify_scd_closure_commutation",
     "structural_verdict",
     "parse_graph_text",
     "load_graph",
@@ -86,8 +84,8 @@ class Digraph:
         return tuple(tuple(sorted(nbrs)) for nbrs in out)
 
     @_cached
-    def _components(self) -> tuple[tuple[int, ...], ...]:
-        """Maximal strongly connected vertex sets, in Tarjan's emission order."""
+    def _tarjan(self) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        """The one graph search: strong components in emission order, weak connectivity."""
         return _tarjan_components(self)
 
     @_cached
@@ -96,10 +94,11 @@ class Digraph:
 
     @_cached
     def _scd(self) -> "ScdReport | None":
-        """The coarse decomposition, or None when g is not weakly connected."""
-        if not is_weakly_connected(self):
+        """The coarse decomposition, or None when Tarjan's pass finds g not weakly connected."""
+        comps, connected = self._tarjan
+        if not connected:
             return None
-        return ScdReport(self.num_vertices, self.edges, tuple(sorted(self._components)))
+        return ScdReport(self.num_vertices, self.edges, tuple(sorted(comps)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -113,52 +112,44 @@ class Digraph:
         return f"Digraph({self.num_vertices}, {sorted(self.edges)})"
 
 
-def is_weakly_connected(g: Digraph) -> bool:
-    """True iff the undirected shadow of g is connected (vacuously for N=1)."""
-    n = g.num_vertices
-    if n == 1:
-        return True
-    shadow: list[list[int]] = [[] for _ in range(n)]
-    for i, j in g.edges:
-        shadow[i - 1].append(j - 1)
-        shadow[j - 1].append(i - 1)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in shadow[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
-
-
-def _tarjan_components(g: Digraph) -> tuple[tuple[int, ...], ...]:
-    """Maximal strongly connected vertex sets, each sorted ascending.
+def _tarjan_components(g: Digraph) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Maximal strongly connected vertex sets, each sorted ascending, and
+    whether g is weakly connected.
 
     Iterative Tarjan. A component is emitted only after every component it
-    reaches, so the emission order is reverse topological.
+    reaches, so the emission order is reverse topological. An edge between
+    two DFS trees runs from the later tree into an earlier one, which would
+    otherwise have entered it, so merging trees along such edges leaves one
+    part iff g is weakly connected.
     """
     n = g.num_vertices
     adj = g.adjacency
     index = [0] * n          # 0 = unvisited, else 1-based discovery index
     lowlink = [0] * n
     onstack = [False] * n
+    tree = [0] * n           # root of the DFS tree that discovered each vertex
+    link = list(range(n))    # union-find over tree roots
+    parts = 0                # weak components among the trees so far
     stack: list[int] = []
     comps: list[tuple[int, ...]] = []
     counter = 1
+
+    def find(a: int) -> int:
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        return a
+
     for root in range(n):
         if index[root]:
             continue
+        parts += 1
         # each frame: (vertex, iterator position into its neighbor tuple)
         work = [(root, 0)]
         while work:
             v, pi = work[-1]
             if pi == 0:
                 index[v] = lowlink[v] = counter
+                tree[v] = root
                 counter += 1
                 stack.append(v)
                 onstack[v] = True
@@ -175,6 +166,12 @@ def _tarjan_components(g: Digraph) -> tuple[tuple[int, ...], ...]:
                 if onstack[w]:
                     if index[w] < lowlink[v]:
                         lowlink[v] = index[w]
+                elif tree[w] != root:
+                    # root leads its own part until a later tree's search begins
+                    a = find(tree[w])
+                    if a != root:
+                        link[a] = root
+                        parts -= 1
             if advanced:
                 continue
             work.pop()
@@ -192,7 +189,7 @@ def _tarjan_components(g: Digraph) -> tuple[tuple[int, ...], ...]:
                 u = work[-1][0]
                 if lowlink[v] < lowlink[u]:
                     lowlink[u] = lowlink[v]
-    return tuple(comps)
+    return tuple(comps), parts == 1
 
 
 class ScdReport:
@@ -253,8 +250,9 @@ def coarse_scd(g: Digraph) -> ScdReport:
     parts induce strongly connected subgraphs refines the maximal components,
     so no partition can be coarser, and equality forces part = component.
 
-    Computed once per graph and shared by every caller. Raises
-    NotWeaklyConnected when the undirected shadow is disconnected.
+    Computed once per graph, from the Tarjan pass that also decides weak
+    connectivity, and shared by every caller. Raises NotWeaklyConnected when
+    that pass leaves more than one weak component.
     """
     report = g._scd
     if report is None:
@@ -273,7 +271,7 @@ def transitive_closure(g: Digraph) -> Digraph:
 
 
 def _closure_of(g: Digraph) -> Digraph:
-    comps = g._components
+    comps, _ = g._tarjan
     owner = [0] * (g.num_vertices + 1)
     for k, comp in enumerate(comps):
         for v in comp:
@@ -298,26 +296,6 @@ def _closure_of(g: Digraph) -> Digraph:
             mask ^= low
         edges.extend((i, j) for i in comp for j in targets if i != j)
     return Digraph(g.num_vertices, edges)
-
-
-def verify_scd_closure_commutation(g: Digraph) -> bool:
-    """Check that decomposition and transitive closure commute for g.
-
-    True iff the closure has the same component partition, every closed
-    component is complete, and the closure's skeleton equals the transitive
-    closure of g's skeleton.
-    """
-    scd = coarse_scd(g)
-    closed = transitive_closure(g)
-    scd_closed = coarse_scd(closed)
-    if scd_closed.components != scd.components:
-        return False
-    for comp in scd_closed.components:
-        for i in comp:
-            for j in comp:
-                if i != j and (i, j) not in closed.edges:
-                    return False
-    return scd_closed.skeleton == transitive_closure(scd.skeleton)
 
 
 class StructuralKind(enum.Enum):

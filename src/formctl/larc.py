@@ -82,29 +82,33 @@ def larc_passes(p: Configuration, g: Digraph) -> bool:
     return lie_algebra_at(p, g).passes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessVector:
-    """One witness field: its value at p and where it came from."""
+    """One witness field: its value at p and where it came from.
+
+    ``values`` is a read-only view of the field's column in its basis's
+    ``matrix``, not a copy.
+    """
 
     kind: str               # "simplex" or "attachment"
     component: int          # maximal component label
     edge: tuple[int, int]   # generating edge i -> j
-    values: tuple[float, ...]
+    values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class WitnessBasis:
-    """Explicit nN independent control fields certifying the rank condition."""
+    """Explicit nN independent control fields certifying the rank condition.
+
+    ``matrix`` is the (nN, nN) read-only array with one witness field per
+    column, in the order of ``vectors``; each vector's ``values`` is a view
+    of its column.
+    """
 
     n: int
     N: int
     vectors: tuple[WitnessVector, ...]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """(nN, count) matrix with one witness field per column."""
-        return np.column_stack([np.asarray(v.values) for v in self.vectors]) \
-            if self.vectors else np.zeros((self.n * self.N, 0))
+    matrix: np.ndarray
 
     def __repr__(self) -> str:
         return f"WitnessBasis(n={self.n}, N={self.N}, count={len(self.vectors)})"
@@ -136,16 +140,17 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
             f"maximal components {failing} are degenerate at this configuration")
 
     pts = p.agents
-    vectors: list[WitnessVector] = []
+    fields = np.zeros((n * p.N, n * p.N))   # one row per field, n rows per agent
+    labels: list[tuple[str, int, tuple[int, int]]] = []
 
     def attach(kind: str, w: int, i: int, simplex: tuple[int, ...], drops) -> None:
         kept = _leave_one_out(pts[[a - 1 for a in simplex]], pts[i - 1], drops)
         if kept is None:
             raise StructuralFailure(f"witness fields of agent {i} are numerically dependent")
         targets = [simplex[l - 1] for l in kept]
-        fields = np.zeros((n, n * p.N))
-        fields[:, np.arange(n) * p.N + (i - 1)] = pts[[j - 1 for j in targets]] - pts[i - 1]
-        vectors.extend(WitnessVector(kind, w, (i, j), tuple(f)) for j, f in zip(targets, fields))
+        rows = slice(len(labels), len(labels) + n)
+        fields[rows, np.arange(n) * p.N + (i - 1)] = pts[[j - 1 for j in targets]] - pts[i - 1]
+        labels.extend((kind, w, (i, j)) for j in targets)
 
     closed = transitive_closure(g)
     maximal = sorted(scd.maximal_set)
@@ -164,7 +169,9 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
             w = next(m for m in maximal
                      if (j, scd.components[m - 1][0]) in closed.edges)
         attach("attachment", w, j, simplices[w], range(1, n + 2))
-    return WitnessBasis(n, p.N, tuple(vectors))
+    fields.setflags(write=False)
+    vectors = tuple(WitnessVector(*label, row) for label, row in zip(labels, fields))
+    return WitnessBasis(n, p.N, vectors, fields.T)
 
 
 # -- serialization ---------------------------------------------------------
@@ -174,5 +181,5 @@ def format_witness_csv(basis: WitnessBasis) -> str:
     lines = []
     for v in basis.vectors:
         label = f"{v.kind}:{v.component}:{v.edge[0]}->{v.edge[1]}"
-        lines.append(",".join(f"{x:.17g}" for x in v.values) + "," + label)
+        lines.append(",".join(f"{x:.17g}" for x in v.values.tolist()) + "," + label)
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from formctl.configspace import Configuration
-from formctl.digraph import Digraph
+from formctl.digraph import Digraph, coarse_scd, transitive_closure
 from formctl.dynamics import Trajectory, expm
 
 
@@ -130,6 +130,43 @@ def edge_reachability(g: Digraph) -> set[tuple[int, int]]:
             if t != s:
                 pairs.add((s, t))
     return pairs
+
+
+def is_weakly_connected(g: Digraph) -> bool:
+    """True iff the undirected shadow of g is connected (vacuously for N=1)."""
+    n = g.num_vertices
+    shadow: list[list[int]] = [[] for _ in range(n)]
+    for i, j in g.edges:
+        shadow[i - 1].append(j - 1)
+        shadow[j - 1].append(i - 1)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in shadow[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def verify_scd_closure_commutation(g: Digraph) -> bool:
+    """Check that decomposition and transitive closure commute for g.
+
+    True iff the closure has the same component partition, every closed
+    component is complete, and the closure's skeleton equals the transitive
+    closure of g's skeleton.
+    """
+    scd = coarse_scd(g)
+    closed = transitive_closure(g)
+    scd_closed = coarse_scd(closed)
+    if scd_closed.components != scd.components:
+        return False
+    for comp in scd_closed.components:
+        for i in comp:
+            for j in comp:
+                if i != j and (i, j) not in closed.edges:
+                    return False
+    return scd_closed.skeleton == transitive_closure(scd.skeleton)
 
 
 # -- matrices and spans ----------------------------------------------------

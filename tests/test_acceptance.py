@@ -37,7 +37,6 @@ from formctl.digraph import (
     coarse_scd,
     structural_verdict,
     transitive_closure,
-    verify_scd_closure_commutation,
 )
 from formctl.dynamics import (
     ControlSchedule,
@@ -65,6 +64,7 @@ from helpers import (
     rank_k_near,
     random_connected_digraph,
     sink_component_graph,
+    verify_scd_closure_commutation,
 )
 
 

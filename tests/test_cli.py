@@ -119,6 +119,17 @@ class TestLarc:
         assert code == 0
         assert "FAIL" in out
 
+    def test_overflowing_differences_are_refused_with_empty_stdout(self, workdir):
+        # finite coordinates whose differences overflow; LAPACK would print to fd 1
+        (workdir / "k4.txt").write_text(format_graph_text(Digraph.complete(4)))
+        (workdir / "huge.json").write_text(json.dumps(
+            {"n": 3, "N": 4, "agents": [[-1.0, -1.0, 0.0], [0.0, 0.0, 0.0],
+                                        [0.0, -1e308, 0.0], [1e308, 1e308, 1.0]]}))
+        proc = fresh_python("-m", "formctl.cli", "larc", "--graph", "k4.txt",
+                            "--config", "huge.json", cwd=workdir)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "must be finite" in proc.stderr
+
     def test_missing_config_is_exit_2(self, workdir):
         code, err = refused("larc", "--graph", workdir / "k5.txt")
         assert code == 2

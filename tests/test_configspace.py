@@ -131,11 +131,19 @@ class TestRanks:
         lambda: AffineSubspace([np.inf, 0.0], [[1.0], [0.0]]),
         lambda: AffineSubspace([0.0, 0.0], [[np.nan], [0.0]]),
         lambda: affine_hull([[np.nan, 0.0]]),
+        lambda: numeric_rank(np.array([[1.5e308], [1.5e308]])),  # its norm overflows
     ], ids=["Configuration", "rank-nan", "rank-inf", "extend-nan", "hull-nan", "hull-inf",
-            "subspace-nan", "subspace-inf", "subspace-basis-nan", "hull-point-nan"])
+            "subspace-nan", "subspace-inf", "subspace-basis-nan", "hull-point-nan",
+            "rank-overflow"])
     def test_non_finite_input_is_refused_like_a_configuration(self, call):
         with pytest.raises(SizeMismatch, match="must be finite"):
             call()
+
+    def test_non_finite_input_is_refused_before_lapack_prints(self, capfd):
+        inf = np.inf
+        with pytest.raises(SizeMismatch, match="must be finite"):
+            numeric_rank(np.array([[inf, -0.77, 0.46], [0.85, 0.94, inf], [0.73, 0.96, inf]]))
+        assert capfd.readouterr() == ("", "")
 
     def test_numeric_rank_empty(self):
         assert numeric_rank(np.zeros((2, 0))) == 0

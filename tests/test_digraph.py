@@ -12,12 +12,10 @@ from formctl.digraph import (
     Digraph,
     StructuralKind,
     coarse_scd,
-    is_weakly_connected,
     load_graph,
     parse_graph_text,
     structural_verdict,
     transitive_closure,
-    verify_scd_closure_commutation,
 )
 from formctl.errors import InputFormatError, InvalidIndices, NotWeaklyConnected
 
@@ -25,8 +23,10 @@ from helpers import (
     digraphs,
     edge_reachability,
     format_graph_text,
+    is_weakly_connected,
     minimum_scd_partitions,
     random_connected_digraph,
+    verify_scd_closure_commutation,
 )
 
 
@@ -63,14 +63,29 @@ class TestConstruction:
 
 class TestWeakConnectivity:
     def test_single_vertex(self):
-        assert is_weakly_connected(Digraph(1))
+        assert coarse_scd(Digraph(1)).components == ((1,),)
 
     def test_directed_path_counts(self):
-        assert is_weakly_connected(Digraph.path(4))
+        assert coarse_scd(Digraph.path(4)).components == ((1,), (2,), (3,), (4,))
+
+    def test_connected_only_through_the_last_dfs_tree(self):
+        # DFS from 1 and from 2 finds nothing; vertex 3's tree joins both
+        assert coarse_scd(Digraph(3, [(3, 1), (3, 2)])).maximal_set == {1, 2}
 
     def test_disconnected(self):
-        assert not is_weakly_connected(Digraph(4, [(1, 2), (3, 4)]))
-        assert not is_weakly_connected(Digraph(2))
+        for g in (Digraph(4, [(1, 2), (3, 4)]), Digraph(2), Digraph(4, [(3, 1), (4, 2)])):
+            with pytest.raises(NotWeaklyConnected):
+                coarse_scd(g)
+
+    @given(digraphs(min_n=1, max_n=8, connected=False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_shadow_search(self, g):
+        try:
+            coarse_scd(g)
+        except NotWeaklyConnected:
+            assert not is_weakly_connected(g)
+        else:
+            assert is_weakly_connected(g)
 
 
 class TestCoarseScd:

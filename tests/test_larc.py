@@ -18,7 +18,12 @@ from formctl.configspace import (
     sample_configuration,
 )
 from formctl.digraph import Digraph, coarse_scd, structural_verdict, transitive_closure
-from formctl.errors import NotInControllableSet, SizeMismatch, StructuralFailure
+from formctl.errors import (
+    NotInControllableSet,
+    NotWeaklyConnected,
+    SizeMismatch,
+    StructuralFailure,
+)
 from formctl.larc import (
     construct_witness_basis,
     format_witness_csv,
@@ -184,6 +189,14 @@ class TestWitnessBasis:
         assert m.shape == (8, 8)
         assert np.linalg.matrix_rank(m) == 8
 
+    def test_fields_are_read_only_views_of_one_array(self):
+        _, _, wb = self.make()
+        assert not wb.matrix.flags.writeable
+        for k, v in enumerate(wb.vectors):
+            assert not v.values.flags.writeable
+            assert np.shares_memory(wb.matrix, v.values)
+            assert np.array_equal(wb.matrix[:, k], v.values)
+
     def test_block_composition(self):
         _, _, wb = self.make()
         kinds = [v.kind for v in wb.vectors]
@@ -314,19 +327,21 @@ class TestGraphAnalysisOnce:
         construct_witness_basis(p, g)
         assert calls == [g]
 
-    def test_certificate_chain_searches_shadow_once(self, monkeypatch):
+    def test_disconnected_graph_is_refused_after_one_search(self, monkeypatch):
         calls = []
-        search = digraph.is_weakly_connected
+        tarjan = digraph._tarjan_components
 
         def counted(g):
             calls.append(g)
-            return search(g)
+            return tarjan(g)
 
-        monkeypatch.setattr(digraph, "is_weakly_connected", counted)
-        g = sink_component_graph(random.Random(5), 3, [4, 4])
-        p = sample_configuration(2, g.num_vertices, seed=6)
-        construct_witness_basis(p, g)
-        in_controllable_set(p, coarse_scd(g))
+        monkeypatch.setattr(digraph, "_tarjan_components", counted)
+        g = Digraph(8, [(1, 2), (2, 3), (3, 1), (5, 6), (6, 7), (7, 8), (8, 5)])
+        p = sample_configuration(2, 8, seed=6)
+        with pytest.raises(NotWeaklyConnected):
+            construct_witness_basis(p, g)
+        with pytest.raises(NotWeaklyConnected):
+            structural_verdict(g, 2)
         assert calls == [g]
 
     def test_certificate_chain_builds_one_skeleton(self, monkeypatch):
