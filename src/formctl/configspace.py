@@ -84,8 +84,11 @@ def numeric_rank(mat: np.ndarray) -> int:
         raise SizeMismatch("coordinates must be finite")
     s = np.linalg.svd(a, compute_uv=False)
     if math.isinf(s[0]):  # finite entries near the float limit can still overflow
-        raise SizeMismatch("coordinates must be finite")
+        raise SizeMismatch(_OVERFLOW)
     return _rank_of(s)
+
+
+_OVERFLOW = "coordinate differences overflow the float range; they must be finite"
 
 
 class Configuration:

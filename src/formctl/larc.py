@@ -18,6 +18,7 @@ import numpy as np
 
 from .configspace import (
     Configuration,
+    _OVERFLOW,
     _leave_one_out,
     find_nondegenerate_simplex,
     in_controllable_set,
@@ -74,7 +75,12 @@ def lie_algebra_at(p: Configuration, g: Digraph) -> LarcReport:
             f"graph has {g.num_vertices} vertices, configuration has {p.N} agents")
     closed = transitive_closure(g)
     pts = p.agents
-    ranks = [_field_rank(pts, i, closed.adjacency[i - 1]) for i in range(1, p.N + 1)]
+    try:
+        # p is finite, so a difference that is not has overflowed
+        with np.errstate(over="ignore"):
+            ranks = [_field_rank(pts, i, closed.adjacency[i - 1]) for i in range(1, p.N + 1)]
+    except SizeMismatch:
+        raise SizeMismatch(_OVERFLOW) from None
     return LarcReport(sum(ranks), p.n * p.N, tuple(ranks), len(closed.edges))
 
 

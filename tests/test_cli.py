@@ -130,6 +130,19 @@ class TestLarc:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert "must be finite" in proc.stderr
 
+    def test_overflowing_differences_are_named_without_a_numpy_warning(self, workdir):
+        # the coordinates are finite; the fault is their difference, and the
+        # subtraction's RuntimeWarning must not reach stderr
+        (workdir / "k4.txt").write_text(format_graph_text(Digraph.complete(4)))
+        (workdir / "huge.json").write_text(json.dumps(
+            {"n": 3, "N": 4, "agents": [[-1, -1, 0], [0, 0, 0],
+                                        [0, -1e308, 0], [1e308, 1e308, 1]]}))
+        proc = fresh_python("-m", "formctl.cli", "larc", "--graph", "k4.txt",
+                            "--config", "huge.json", cwd=workdir)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "RuntimeWarning" not in proc.stderr
+        assert "error: coordinate differences overflow" in proc.stderr
+
     def test_missing_config_is_exit_2(self, workdir):
         code, err = refused("larc", "--graph", workdir / "k5.txt")
         assert code == 2

@@ -246,6 +246,14 @@ def agreement(norm):
     return 1e-14 if norm <= 5.37 else 1e-12
 
 
+def frechet_case(norm):
+    """(3, 4, 4) generator stack of largest 1-norm norm and four rank-one
+    directions per matrix, the shape of the shooting Jacobian's directions."""
+    rng = np.random.default_rng(17)
+    hm = generator_stack(rng, 4, 3, norm)
+    return hm, rng.standard_normal((3, 4, 4, 1)) * rng.standard_normal((3, 4, 1, 4))
+
+
 class TestExpm:
     @pytest.mark.parametrize("norm", PADE_NORMS)
     def test_segment_stack_matches_scipy(self, norm):
@@ -285,6 +293,29 @@ class TestExpm:
             for e in range(blocks.shape[1]):
                 ref = linalg.expm_frechet(hm[s], blocks[s, e, :4, 4:], compute_expm=False)
                 assert np.max(np.abs(frechet[s, e] - ref)) <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("norm", PADE_NORMS)
+    def test_frechet_derivatives_match_scipy(self, norm):
+        linalg = pytest.importorskip("scipy.linalg")
+        hm, e = frechet_case(norm)
+        got = dynamics._expm_frechet(hm, e)
+        for s in range(len(hm)):
+            for d in range(e.shape[1]):
+                ref = linalg.expm_frechet(hm[s], e[s, d], compute_expm=False)
+                assert np.max(np.abs(got[s, d] - ref)) <= agreement(norm) * np.abs(ref).max()
+
+    @pytest.mark.parametrize("norm", [8.0, 60.0])
+    def test_scaled_frechet_matches_high_precision_reference(self, norm):
+        mpmath = pytest.importorskip("mpmath")
+        hm, e = frechet_case(norm)
+        got = dynamics._expm_frechet(hm, e)
+        for s in range(len(hm)):
+            for d in range(e.shape[1]):
+                block = np.block([[hm[s], e[s, d]], [np.zeros((4, 4)), hm[s]]])
+                with mpmath.workdps(40):
+                    ref = np.array(mpmath.expm(mpmath.matrix(block.tolist())).tolist(),
+                                   dtype=float)[:4, 4:]
+                assert np.max(np.abs(got[s, d] - ref)) <= 5e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("norm", PADE_NORMS)
     def test_agent_without_controls_stays_fixed_exactly(self, norm):
@@ -345,6 +376,19 @@ class TestSimulate:
         coarse = simulate(sched, cs, p0, 0.25)
         fine = simulate(sched, cs, p0, 0.01)
         assert np.max(np.abs(coarse.final.coords - fine.final.coords)) < 1e-10
+
+    def test_one_expm_call_per_simulation(self, monkeypatch):
+        calls = []
+        expm = dynamics.expm
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(dynamics, "expm", counted)
+        sched, cs, p0 = switching_setup()
+        traj = simulate(sched, cs, p0, 0.1)
+        assert calls == [(len(traj.times) - 1, 3, 3)]
 
     def test_zero_control_fixed_point_exact(self):
         g = Digraph.complete(3)
@@ -516,26 +560,49 @@ class TestSteer:
             central[:, c] = (phi(up) - phi(down)) / (2 * d)
         assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(central))
 
-    def test_expm_calls_per_iteration_do_not_grow_with_edges(self, monkeypatch):
-        # one batched call for the segment flows and one for the Jacobian
-        calls = []
-        expm = dynamics.expm
+    def test_expm_calls_and_jacobian_work_do_not_grow_with_edges(self, monkeypatch):
+        # one expm call per forward pass for the segment flows; each Jacobian
+        # differentiates the S segment exponentials along n N directions
+        flows, frechets = [], []
+        expm, expm_frechet = dynamics.expm, dynamics._expm_frechet
 
         def counted(a):
-            calls.append(a.shape)
+            flows.append(a.shape)
             return expm(a)
 
+        def counted_frechet(a, e):
+            frechets.append((a.shape, e.shape))
+            return expm_frechet(a, e)
+
         monkeypatch.setattr(dynamics, "expm", counted)
+        monkeypatch.setattr(dynamics, "_expm_frechet", counted_frechet)
         for N in (3, 6):
-            calls.clear()
+            flows.clear()
+            frechets.clear()
             rng = np.random.default_rng(N)
             p0, p1 = (Configuration.from_agents(rng.normal(size=(N, 2))) for _ in range(2))
             result = steer(Digraph.complete(N), p0, p1, 3, 1.0,
                            SteerOptions(max_iterations=4, multi_start=1))
             assert result.iterations == 4
-            assert result.iterations + 2 <= len(calls) <= 2 * result.iterations + 2
-            # the Jacobian's stack holds S n N blocks of 2N x 2N, whatever E is
-            assert set(calls) == {(3, N, N), (3, 2, N, 2 * N, 2 * N)}
+            assert flows == [(3, N, N)] * (result.iterations + 1)
+            assert frechets == [((3, N, N), (3, 2 * N, N, N))] * len(flows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_generator_gives_a_rejected_jacobian(self, bad):
+        g, p0, p1 = tracked_pair()
+        shooting = dynamics._ShootingMap(g, p0.coords.reshape(p0.n, p0.N), 3, 1.0 / 3)
+        theta = np.random.default_rng(2).uniform(-0.5, 0.5, size=3 * len(g.edges))
+        fwd = shooting.forward(theta)
+        fwd.hm[1, 0, 2] = bad    # the states stay finite; only the Jacobian sees it
+        shooting.forward = lambda th: fwd
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            jac = shooting.jacobian(fwd)
+            _, _, res, rejected = dynamics._evaluate(
+                shooting, p1.coords.reshape(p1.n, p1.N), theta, 1e-8)
+        assert jac.shape == (p0.n * p0.N, 3 * len(g.edges))
+        assert not np.isfinite(jac).any()
+        assert (res, rejected) == (math.inf, None)
 
     @pytest.mark.parametrize("graph, segments, scale", [
         (Digraph.complete(5), 6, 1.0),
