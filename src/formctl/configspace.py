@@ -156,11 +156,14 @@ class Configuration:
 
 
 def _difference_matrix(p: Configuration, idx: list[int]) -> np.ndarray:
-    """Columns x_i - x_base for i in idx[1:], base = idx[0] (n x (m-1))."""
+    """Columns x_i - x_base for i in idx[1:], base = idx[0] (n x (m-1)).
+
+    p is finite, so a difference that is not has overflowed; that is left to
+    the caller's rank to refuse, without a numpy warning.
+    """
     pts = p.agents
-    base = pts[idx[0] - 1]
-    return np.column_stack([pts[i - 1] - base for i in idx[1:]]) if len(idx) > 1 \
-        else np.zeros((p.n, 0))
+    with np.errstate(over="ignore"):
+        return (pts[np.asarray(idx[1:], dtype=int) - 1] - pts[idx[0] - 1]).T
 
 
 def configuration_rank(p: Configuration, subset: Iterable[int] | None = None) -> int:
@@ -174,7 +177,10 @@ def configuration_rank(p: Configuration, subset: Iterable[int] | None = None) ->
         for i in idx:
             if not (1 <= i <= p.N):
                 raise IndexOutOfRange(f"agent {i} out of range 1..{p.N}")
-    return numeric_rank(_difference_matrix(p, idx))
+    try:
+        return numeric_rank(_difference_matrix(p, idx))
+    except SizeMismatch:  # p is finite, so a difference overflowed
+        raise SizeMismatch(_OVERFLOW) from None
 
 
 def extended_matrix_rank(p: Configuration) -> int:
@@ -267,9 +273,11 @@ class StratumChart:
         object.__setattr__(self, "_rest", rest)
         object.__setattr__(self, "_center_agents", pts)
         base = pts[index_choice[0] - 1]
-        object.__setattr__(
-            self, "_center_rest_image",
-            {i: l_map @ (pts[i - 1] - base) for i in rest})
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = {i: l_map @ (pts[i - 1] - base) for i in rest}
+        if not np.isfinite(list(images.values())).all():
+            raise SizeMismatch(_OVERFLOW)
+        object.__setattr__(self, "_center_rest_image", images)
 
     def _frame_at(self, chosen_pts: np.ndarray) -> np.ndarray:
         """L' = (A', B')^T for chosen agent positions (rows of chosen_pts)."""

@@ -3,15 +3,16 @@
 With controls held constant on an interval the state map is the exact flow
 p -> D(exp(h M)) p with M the weighted sum of edge generators, and D
 repeating a matrix once per coordinate. Only the small N-by-N exponential is
-ever formed, by expm, a batched scaling-and-squaring Pade approximant in
-numpy; simulate exponentiates all its sample intervals in one call.
-Steering composes these exact flows and solves the two-point problem by
-damped Gauss-Newton shooting on the stacked control values. The exact
-Jacobian comes in adjoint form, from the Frechet derivatives of each
-segment exponential along n N directions whatever the edge count, which
-share the segment's one Pade evaluation and one inverse of its
-denominator; every damped step tried at one Jacobian comes from a single
-thin SVD of it. Tracking replans leg by leg across graph switches.
+ever formed, by one batched scaling-and-squaring Pade routine in numpy,
+which also gives the Frechet derivatives of the exponential when asked;
+simulate exponentiates all its sample intervals in one call. Steering
+composes these exact flows and solves the two-point problem by damped
+Gauss-Newton shooting on the stacked control values. The exact Jacobian
+comes in adjoint form, from the Frechet derivatives of each segment
+exponential along n N directions whatever the edge count, which share the
+segment's one Pade evaluation and one inverse of its denominator; every
+damped step tried at one Jacobian comes from a single thin SVD of it.
+Tracking replans leg by leg across graph switches.
 """
 
 from __future__ import annotations
@@ -199,13 +200,7 @@ def _control_matrix(g: Digraph, u: Mapping[tuple[int, int], float]) -> np.ndarra
     return m
 
 
-# expm scales each matrix by 2^-k to 1-norm at most this, below the degree-13
-# bound 5.37: on 96,000 random K4 flows (controls in [-1, 1], h up to 4),
-# scaling to 5.37 instead gave twice the cases whose semigroup error exceeds
-# 1e-10 (43 against 22), and one more squaring costs a single product
-_SUBSTEP_NORM = 2.5
-
-# Pade approximants r_m = (V + U) / (V - U) of degree m = 3, 5, 7, 9, 13 from
+# Pade approximants r_m = (V + U) / (V - U) of degree m = 3, 5, 7, 9 from
 # Higham (2005), Table 2.3 and eq. (2.2): theta_m, the largest 1-norm at
 # which r_m(A) is exp(A) to double precision, and the coefficients b_0 .. b_m
 _PADE = tuple((theta, np.array(b)) for theta, b in (
@@ -215,12 +210,13 @@ _PADE = tuple((theta, np.array(b)) for theta, b in (
                             56., 1.)),
     (2.097847961257068e0, (17643225600., 8821612800., 2075673600., 302702400.,
                            30270240., 2162160., 110880., 3960., 90., 1.)),
-    (5.371920351148152e0, (64764752532480000., 32382376266240000., 7771770303897600.,
-                           1187353796428800., 129060195264000., 10559470521600.,
-                           670442572800., 33522128640., 1323241920., 40840800.,
-                           960960., 16380., 182., 1.)),
 ))
 
+# each matrix is scaled by 2^-k to 1-norm at most theta_9, so degree 9 is
+# the highest used: on 96,000 random K4 flows (controls in [-1, 1], h up to
+# 4) it gave 22 cases whose semigroup error exceeds 1e-10, against 27 with
+# degree 13 and scaling to 2.5 on the same draws
+_SUBSTEP_NORM = _PADE[-1][0]
 
 # doubles per working array: expm works through a stack in chunks of this
 # size, so its temporaries stay in cache and in reused memory
@@ -230,13 +226,8 @@ _CHUNK = 1 << 14
 def expm(a: np.ndarray) -> np.ndarray:
     """exp of each square matrix of the (..., n, n) stack a.
 
-    Scaling and squaring (Higham 2005), batched over chunks of the stack:
-    each matrix is scaled by an exact power of two to 1-norm at most
-    _SUBSTEP_NORM, one Pade degree, the lowest accurate at the chunk's
-    largest scaled norm, is evaluated for all of them, and each is squared
-    back as often as it was halved. The approximant is formed as
-    I + 2 U (V - U)^-1, so a zero row (an agent without outgoing controls)
-    stays an exact identity row. A stack that is not finite gives NaN.
+    Scaling and squaring (_pade_exp), batched over chunks of the stack. A
+    stack that is not finite gives NaN.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
@@ -244,18 +235,30 @@ def expm(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(flat)
     step = max(1, _CHUNK // (n * n))
     for start in range(0, len(flat), step):
-        r = _expm_transposed(flat[start:start + step])
-        if r is None:
+        done = _pade_exp(flat[start:start + step])
+        if done is None:
             return np.full(a.shape, np.nan)
-        out[start:start + step] = r.transpose(0, 2, 1)
+        out[start:start + step] = done[0]
     return out.reshape(a.shape)
 
 
-def _scaling(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Squarings k per matrix of the (B, n, n) stack a and the Pade coefficients.
+def _pade_exp(a: np.ndarray, e: np.ndarray | None = None) -> tuple | None:
+    """exp(A) for each matrix of the (B, n, n) stack a and, given the (B, D,
+    n, n) stack e, L(A, E), the Frechet derivative of exp at A along each of
+    its D directions per matrix (else None); None if a is not finite.
 
-    2^-k A has 1-norm at most _SUBSTEP_NORM, and the degree is the lowest
-    accurate at the largest such norm of the stack. None if a is not finite.
+    Scaling and squaring (Higham 2005) with the derivatives riding along
+    (Al-Mohy & Higham 2009, Algorithm 6.4). Each matrix and its directions
+    are scaled by an exact power of two 2^-k, chosen from A alone, to 1-norm
+    at most _SUBSTEP_NORM; one Pade degree, the lowest accurate at the
+    stack's largest scaled norm, gives U, V and their derivatives L_U, L_V
+    for all of them. With q = V - U, r = I + 2 U q^-1 (U and q commute), so
+    a zero row of A (an agent without outgoing controls) stays an exact
+    identity row, and L_r = 2 (L_U + U q^-1 (L_U - L_V)) q^-1 shares the one
+    inverse of q; numpy's batched solve with the 2D + 1 blocks as right-hand
+    sides took 0.44 ms where the inverse and one product took 0.04 ms (eight
+    K8 segments, 2-core Xeon, one BLAS thread). Each squaring R <- R^2
+    takes L <- R L + L R.
     """
     n = a.shape[-1]
     norms = (np.ones(n) @ np.abs(a)).max(axis=1)
@@ -264,74 +267,39 @@ def _scaling(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     squarings = np.ceil(np.log2(np.maximum(norms, _SUBSTEP_NORM) / _SUBSTEP_NORM))
     squarings = squarings.astype(np.intc)
     largest = np.ldexp(norms, -squarings).max()
-    return squarings, next(b for theta, b in _PADE if largest <= theta)
-
-
-def _expm_transposed(a: np.ndarray) -> np.ndarray | None:
-    """exp(A)^T for each matrix of the (B, n, n) stack a; None if a is not finite."""
-    scaled = _scaling(a)
-    if scaled is None:
-        return None
-    squarings, b = scaled
-    n = a.shape[-1]
-    u, v = _pade_terms(np.ldexp(a, -squarings[:, None, None]), b)
-    # r^T = I + 2 (V - U)^-T U^T: the solve maps a zero column of U^T to zero
-    v -= u
-    r = np.linalg.solve(v.transpose(0, 2, 1), u.transpose(0, 2, 1))
-    r *= 2
-    r.reshape(len(r), -1)[:, ::n + 1] += 1
-    for k in range(squarings.max()):
-        sel = squarings > k
-        r[sel] = r[sel] @ r[sel]
-    return r
-
-
-def _expm_frechet(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """L(A, E), the Frechet derivative of exp at A along E, for the (B, n, n)
-    stack a and each of the D directions per matrix in the (B, D, n, n) stack e.
-
-    Al-Mohy & Higham (2009), Algorithm 6.4: A and its directions are scaled
-    by 2^-k, chosen from A alone as expm chooses it, and U, V and their
-    derivatives L_U, L_V come from one Pade evaluation per matrix. All the
-    directions then share one inverse of q = V - U: r = I + 2 q^-1 U and
-    L_r = 2 q^-1 (L_U + (L_U - L_V) q^-1 U); numpy's batched solve with
-    the 2D + 1 blocks as right-hand sides took 0.44 ms where the inverse and
-    one product took 0.04 ms (eight K8 segments, 2-core Xeon, one BLAS
-    thread). Each squaring R <- R^2 takes L <- R L + L R. NaN if a is not
-    finite.
-    """
-    scaled = _scaling(a)
-    if scaled is None:
-        return np.full(e.shape, np.nan)
-    squarings, b = scaled
-    u, v, l_u, l_v = _pade_terms(np.ldexp(a, -squarings[:, None, None]), b,
-                                 np.ldexp(e, -squarings[:, None, None, None]))
+    # log2 rounds, so the largest scaled norm can sit a few ulps above theta_9
+    b = next((b for theta, b in _PADE if largest <= theta), _PADE[-1][1])
+    scaled_e = None if e is None else np.ldexp(e, -squarings[:, None, None, None])
+    u, v, *derivs = _pade_terms(np.ldexp(a, -squarings[:, None, None]), b, scaled_e)
     q_inv = np.linalg.inv(v - u)
-    r_u = q_inv @ u
-    frechet = 2 * (q_inv[:, None] @ (l_u + (l_u - l_v) @ r_u[:, None]))
+    r_u = u @ q_inv
     r = 2 * r_u
-    r.reshape(len(r), -1)[:, ::a.shape[-1] + 1] += 1
+    r.reshape(len(r), -1)[:, ::n + 1] += 1
+    frechet = None
+    if derivs:
+        l_u, l_v = derivs
+        frechet = 2 * ((l_u + r_u[:, None] @ (l_u - l_v)) @ q_inv[:, None])
     for k in range(squarings.max()):
         sel = squarings > k
-        rs, fs = r[sel], frechet[sel]
-        frechet[sel] = rs[:, None] @ fs + fs @ rs[:, None]
+        rs = r[sel]
+        if frechet is not None:
+            fs = frechet[sel]
+            frechet[sel] = rs[:, None] @ fs + fs @ rs[:, None]
         r[sel] = rs @ rs
-    return frechet
+    return r, frechet
 
 
 def _pade_terms(a: np.ndarray, b: np.ndarray, e: np.ndarray | None = None) -> tuple:
     """U and V of the Pade approximant with coefficients b for the (B, n, n) stack a.
 
     U = A W with W = sum_k b_2k+1 A^2k, and V = sum_k b_2k A^2k; each sum is
-    one product of its coefficients with the stacked even powers. Degree 13
-    forms A^2, A^4, A^6 only, grouped as in Higham (2005): W = A^6 W_1 + W_2
-    and V = A^6 Z_1 + Z_2. Given a (B, D, n, n) stack e of directions, the
-    Frechet derivatives L_U and L_V along each follow as well: the same sums
-    over M_k, the derivatives of the even powers, which obey the powers'
-    recurrence A^2k = A^2k-2 A^2, and L_U = A L_W + E W.
+    one product of its coefficients with the stacked even powers. Given a
+    (B, D, n, n) stack e of directions, the Frechet derivatives L_U and L_V
+    along each follow as well: the same sums over M_k, the derivatives of
+    the even powers, which obey the powers' recurrence A^2k = A^2k-2 A^2,
+    and L_U = A L_W + E W.
     """
-    m = len(b) - 1
-    count = 3 if m == 13 else m // 2
+    count = (len(b) - 1) // 2
     n = a.shape[-1]
     powers = np.empty((count,) + a.shape)
     np.matmul(a, a, out=powers[0])
@@ -344,12 +312,7 @@ def _pade_terms(a: np.ndarray, b: np.ndarray, e: np.ndarray | None = None) -> tu
             out.reshape(len(out), -1)[:, ::n + 1] += identity
         return out
 
-    if m == 13:
-        w_1, z_1 = combine(b[9::2], powers, 0.0), combine(b[8::2], powers, 0.0)
-        w = powers[2] @ w_1 + combine(b[3:9:2], powers, b[1])
-        v = powers[2] @ z_1 + combine(b[2:8:2], powers, b[0])
-    else:
-        w, v = combine(b[3::2], powers, b[1]), combine(b[2::2], powers, b[0])
+    w, v = combine(b[3::2], powers, b[1]), combine(b[2::2], powers, b[0])
     u = a @ w
     if e is None:
         return u, v
@@ -358,12 +321,7 @@ def _pade_terms(a: np.ndarray, b: np.ndarray, e: np.ndarray | None = None) -> tu
     derivs[0] = a_e @ e + e @ a_e
     for k in range(1, count):
         derivs[k] = powers[k - 1][:, None] @ derivs[0] + derivs[k - 1] @ powers[0][:, None]
-    if m == 13:
-        p_3, m_3 = powers[2][:, None], derivs[2]
-        l_w = p_3 @ combine(b[9::2], derivs) + m_3 @ w_1[:, None] + combine(b[3:9:2], derivs)
-        l_v = p_3 @ combine(b[8::2], derivs) + m_3 @ z_1[:, None] + combine(b[2:8:2], derivs)
-    else:
-        l_w, l_v = combine(b[3::2], derivs), combine(b[2::2], derivs)
+    l_w, l_v = combine(b[3::2], derivs), combine(b[2::2], derivs)
     return u, v, a_e @ l_w + e @ w[:, None], l_v
 
 
@@ -510,8 +468,9 @@ class _ShootingMap:
         E_{s+1}, so its derivative along hA_e is <L(hM_s^T, lam x^T), hA_e>
         = h (G[i,j] - G[i,i]) for the edge e = (i, j), with L the Frechet
         derivative of the exponential. Each segment's n N derivatives G, one
-        per direction lam x^T, however many edges the graph has, share one
-        Pade evaluation of hM_s^T and one inverse (_expm_frechet). Every lam
+        per direction lam x^T, however many edges the graph has, come from
+        the Pade routine that forms the exponentials (_pade_exp), with one
+        evaluation of hM_s^T and one inverse shared by all. Every lam
         and x is first scaled by a power of two to largest entry in [1/2, 1),
         and the scale is undone exactly on the result, which is linear in
         lam x^T.
@@ -524,8 +483,10 @@ class _ShootingMap:
         lam, lam_exp = _unit_rows(suffix)
         x, x_exp = _unit_rows(fwd.states[:-1])
         directions = lam[:, None, :, :, None] * x[:, :, None, None, :]
-        frechet = _expm_frechet(fwd.hm.transpose(0, 2, 1), directions.reshape(S, n * N, N, N))
-        cols = np.tensordot(frechet.reshape(directions.shape), self.h_generators,
+        done = _pade_exp(fwd.hm.transpose(0, 2, 1), directions.reshape(S, n * N, N, N))
+        if done is None:  # a generator that is not finite gives no Jacobian
+            return np.full((n * N, S * len(self.h_generators)), np.nan)
+        cols = np.tensordot(done[1].reshape(directions.shape), self.h_generators,
                             axes=([3, 4], [1, 2]))
         cols = np.ldexp(cols, (lam_exp[:, None, :] + x_exp[:, :, None])[..., None])
         return cols.transpose(1, 2, 0, 3).reshape(n * N, -1)

@@ -42,10 +42,6 @@ class EmptyGeneratorSet(DomainError):
     pass
 
 
-class DegenerateBracket(DomainError):
-    """Symbolic bracket of a 2-cycle pair; caller must use the dense bracket."""
-
-
 # -- configspace -----------------------------------------------------------
 
 class EmptySubset(DomainError):

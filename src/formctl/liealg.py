@@ -7,7 +7,8 @@ by its off-diagonal part, and in those coordinates the edge generators form
 the standard lattice basis.
 
 Arithmetic stays in int64 while safe and falls back to Python integers when
-a product could overflow, so results are exact at any coefficient size.
+a product or a row sum could overflow, so results are exact at any
+coefficient size.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .digraph import Digraph
 from .errors import (
-    DegenerateBracket,
     EmptyGeneratorSet,
     InvalidIndices,
     NotZeroRowSum,
@@ -48,6 +48,11 @@ __all__ = [
 _INT64_SAFE = 2**62
 
 
+def _abs_max(arr: np.ndarray) -> int:
+    """Largest |entry| of an int64 array; np.abs would wrap -2^63 to itself."""
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+
+
 def _as_int_array(entries) -> np.ndarray:
     arr = np.asarray(entries)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -71,7 +76,9 @@ class ZeroRowSumMatrix:
 
     def __init__(self, entries):
         arr = _as_int_array(entries)
-        sums = arr.sum(axis=1)
+        # row sums are bounded by max |entry| times n; past that, exact ints
+        wide = arr.dtype != object and _abs_max(arr) * arr.shape[0] >= _INT64_SAFE
+        sums = (arr.astype(object) if wide else arr).sum(axis=1)
         if np.any(sums != 0):
             bad = int(np.flatnonzero(sums)[0]) + 1
             raise NotZeroRowSum(f"row {bad} sums to {sums[bad - 1]}, expected 0")
@@ -145,7 +152,11 @@ class GeneratorCombination:
         object.__setattr__(self, "terms", clean)
 
     def dense(self, size: int) -> ZeroRowSumMatrix:
-        huge = any(abs(c) >= _INT64_SAFE // 2 for c in self.terms.values())
+        # each diagonal entry is minus its row's sum of coefficients
+        row_abs: dict[int, int] = {}
+        for (i, _), c in self.terms.items():
+            row_abs[i] = row_abs.get(i, 0) + abs(c)
+        huge = max(row_abs.values(), default=0) >= _INT64_SAFE
         arr = np.zeros((size, size), dtype=object if huge else np.int64)
         for (i, j), c in self.terms.items():
             if not (1 <= i <= size and 1 <= j <= size):
@@ -188,8 +199,7 @@ def bracket(a: ZeroRowSumMatrix, b: ZeroRowSumMatrix) -> ZeroRowSumMatrix:
 def structural_bracket(a: EdgeGenerator, b: EdgeGenerator) -> GeneratorCombination:
     """Symbolic commutator of two edge generators, from the case table.
 
-    Covers every index pattern except the 2-cycle pair (a = A_ij, b = A_ji),
-    which raises DegenerateBracket; the dense bracket handles that case.
+    Covers every index pattern; the 2-cycle pair gives [A_ij, A_ji] = A_ji - A_ij.
     """
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
@@ -197,9 +207,7 @@ def structural_bracket(a: EdgeGenerator, b: EdgeGenerator) -> GeneratorCombinati
     if (i, j) == (p, q):
         terms = {}
     elif j == p and q == i:
-        raise DegenerateBracket(
-            f"[A_{i}{j}, A_{j}{i}] is not a combination of the two generators; "
-            "use the dense bracket")
+        terms = {(j, i): 1, (i, j): -1}
     elif i == p:
         terms = {(i, j): 1, (i, q): -1}
     elif j == p:

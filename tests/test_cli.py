@@ -12,6 +12,7 @@ import pytest
 
 from formctl.cli import main
 from formctl.configspace import (
+    _OVERFLOW,
     format_configuration_json,
     load_configuration,
     sample_configuration,
@@ -208,6 +209,21 @@ class TestChart:
         code, _, err = invoke("chart", "--config", workdir / "p0.json", "--k", 1)
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("agents", [
+        # the differences are finite; the stratum chart's frame applied to them is not
+        [[-1, -1, 0], [0, 0, 0], [0, -1e308, 0], [1e308, 1e308, 1], [2, 0, 3]],
+        # a difference itself overflows
+        [[-1e308, 0, 0], [1e308, 1, 0], [0, 5, 0], [0, 0, 1]],
+    ])
+    def test_overflowing_differences_are_named_without_a_numpy_warning(
+            self, workdir, agents):
+        (workdir / "huge.json").write_text(json.dumps({"n": 3, "N": len(agents),
+                                                       "agents": agents}))
+        proc = fresh_python("-m", "formctl.cli", "chart", "--config", "huge.json",
+                            cwd=workdir)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {_OVERFLOW}\n"
 
 
 class TestSample:

@@ -234,8 +234,8 @@ def van_loan_stack(hm):
     return blocks
 
 
-# largest 1-norms that select each Pade degree (3, 5, 7, 9, 13) and some
-# above the degree-13 bound 5.37, which are scaled and squared back
+# largest 1-norms that select each Pade degree (3, 5, 7, 9) and some above
+# the degree-9 bound 2.0978, which are scaled and squared back
 PADE_NORMS = [0.01, 0.2, 0.9, 2.0, 2.4, 8.0, 60.0]
 
 
@@ -298,7 +298,7 @@ class TestExpm:
     def test_frechet_derivatives_match_scipy(self, norm):
         linalg = pytest.importorskip("scipy.linalg")
         hm, e = frechet_case(norm)
-        got = dynamics._expm_frechet(hm, e)
+        got = dynamics._pade_exp(hm, e)[1]
         for s in range(len(hm)):
             for d in range(e.shape[1]):
                 ref = linalg.expm_frechet(hm[s], e[s, d], compute_expm=False)
@@ -308,7 +308,7 @@ class TestExpm:
     def test_scaled_frechet_matches_high_precision_reference(self, norm):
         mpmath = pytest.importorskip("mpmath")
         hm, e = frechet_case(norm)
-        got = dynamics._expm_frechet(hm, e)
+        got = dynamics._pade_exp(hm, e)[1]
         for s in range(len(hm)):
             for d in range(e.shape[1]):
                 block = np.block([[hm[s], e[s, d]], [np.zeros((4, 4)), hm[s]]])
@@ -316,6 +316,14 @@ class TestExpm:
                     ref = np.array(mpmath.expm(mpmath.matrix(block.tolist())).tolist(),
                                    dtype=float)[:4, 4:]
                 assert np.max(np.abs(got[s, d] - ref)) <= 5e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("norm", PADE_NORMS)
+    def test_exponential_with_directions_is_expm(self, norm):
+        # the Jacobian's Pade call forms the same exponentials as the flow's
+        hm, e = frechet_case(norm)
+        exps, frechet = dynamics._pade_exp(hm, e)
+        assert frechet.shape == e.shape
+        assert np.array_equal(exps, dynamics.expm(hm))
 
     @pytest.mark.parametrize("norm", PADE_NORMS)
     def test_agent_without_controls_stays_fixed_exactly(self, norm):
@@ -561,31 +569,32 @@ class TestSteer:
         assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(central))
 
     def test_expm_calls_and_jacobian_work_do_not_grow_with_edges(self, monkeypatch):
-        # one expm call per forward pass for the segment flows; each Jacobian
-        # differentiates the S segment exponentials along n N directions
-        flows, frechets = [], []
-        expm, expm_frechet = dynamics.expm, dynamics._expm_frechet
+        # one expm call per forward pass for the segment flows, which makes one
+        # Pade call; each Jacobian differentiates the S segment exponentials
+        # along n N directions in one more
+        flows, pades = [], []
+        expm, pade_exp = dynamics.expm, dynamics._pade_exp
 
         def counted(a):
             flows.append(a.shape)
             return expm(a)
 
-        def counted_frechet(a, e):
-            frechets.append((a.shape, e.shape))
-            return expm_frechet(a, e)
+        def counted_pade(a, e=None):
+            pades.append((a.shape, None if e is None else e.shape))
+            return pade_exp(a, e)
 
         monkeypatch.setattr(dynamics, "expm", counted)
-        monkeypatch.setattr(dynamics, "_expm_frechet", counted_frechet)
+        monkeypatch.setattr(dynamics, "_pade_exp", counted_pade)
         for N in (3, 6):
             flows.clear()
-            frechets.clear()
+            pades.clear()
             rng = np.random.default_rng(N)
             p0, p1 = (Configuration.from_agents(rng.normal(size=(N, 2))) for _ in range(2))
             result = steer(Digraph.complete(N), p0, p1, 3, 1.0,
                            SteerOptions(max_iterations=4, multi_start=1))
             assert result.iterations == 4
             assert flows == [(3, N, N)] * (result.iterations + 1)
-            assert frechets == [((3, N, N), (3, 2 * N, N, N))] * len(flows)
+            assert pades == [((3, N, N), None), ((3, N, N), (3, 2 * N, N, N))] * len(flows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_generator_gives_a_rejected_jacobian(self, bad):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 from itertools import permutations, product
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from formctl.digraph import Digraph, transitive_closure
 from formctl.errors import (
-    DegenerateBracket,
     EmptyGeneratorSet,
     InvalidIndices,
     NotZeroRowSum,
@@ -84,6 +84,14 @@ class TestZeroRowSumMatrix:
         a = ZeroRowSumMatrix([[-1, 1], [0, 0]])
         b = ZeroRowSumMatrix([[-1, 1], [0, 0]])
         assert hash(a) == hash(b) and a == b
+
+    @pytest.mark.parametrize("rows", [[[2**62] * 4] * 4, [[-2**63, -2**63], [0, 0]]])
+    def test_row_sums_past_int64_are_exact(self, rows):
+        # the true row sums are +-2^64, which int64 wraps to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotZeroRowSum, match="sums to -?18446744073709551616"):
+                ZeroRowSumMatrix(rows)
 
 
 class TestEdgeGenerator:
@@ -165,9 +173,10 @@ class TestStructuralBracket:
         got = structural_bracket(EdgeGenerator(1, 2, 4), EdgeGenerator(3, 4, 4))
         assert got == GeneratorCombination({})
 
-    def test_two_cycle_raises(self):
-        with pytest.raises(DegenerateBracket):
-            structural_bracket(EdgeGenerator(1, 2, 2), EdgeGenerator(2, 1, 2))
+    def test_two_cycle_is_the_generator_difference(self):
+        got = structural_bracket(EdgeGenerator(1, 2, 2), EdgeGenerator(2, 1, 2))
+        assert got == GeneratorCombination({(2, 1): 1, (1, 2): -1})
+        assert got.dense(2) == bracket(A(1, 2, 2), A(2, 1, 2))
 
     def test_two_cycle_dense_still_zero_row_sum(self):
         m = bracket(A(1, 2, 2), A(2, 1, 2))
@@ -183,10 +192,6 @@ class TestStructuralBracket:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
         for (i, j), (p, q) in product(pairs, repeat=2):
             dense = bracket(A(i, j, n), A(p, q, n))
-            if j == p and q == i and (i, j) != (p, q):
-                with pytest.raises(DegenerateBracket):
-                    structural_bracket(EdgeGenerator(i, j, n), EdgeGenerator(p, q, n))
-                continue
             sym = structural_bracket(EdgeGenerator(i, j, n), EdgeGenerator(p, q, n))
             assert sym.dense(n) == dense, ((i, j), (p, q))
 
@@ -209,6 +214,15 @@ class TestDenseToCombination:
         m = ZeroRowSumMatrix([[-3, 1, 2], [0, 0, 0], [4, 0, -4]])
         combo = _offdiag_combination(m)
         assert combo.terms == {(1, 2): 1, (1, 3): 2, (3, 1): 4}
+
+    def test_diagonal_past_int64_is_exact(self):
+        # each coefficient fits int64, their row sum does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = GeneratorCombination({(1, j): 2**61 - 1 for j in range(2, 7)}).dense(6)
+        assert m.array[0, 0] == -5 * (2**61 - 1) == -11529215046068469755
+        assert _offdiag_combination(m) == GeneratorCombination(
+            {(1, j): 2**61 - 1 for j in range(2, 7)})
 
 
 class TestIntRowEchelon:
