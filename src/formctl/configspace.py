@@ -264,9 +264,10 @@ class StratumChart:
                              full_matrices=True)[0] if qa else np.eye(n)
         b_seed = full[:, k:]
         b_part = np.column_stack(_orthonormalize(b_seed, qa)) if k < n else np.zeros((n, 0))
-        l_map = np.vstack([a_part.T, b_part.T])
         object.__setattr__(self, "A_part", a_part)
         object.__setattr__(self, "B_part", b_part)
+        # the frame forward and inverse rebuild, so the center maps to exactly 0
+        l_map = self._frame_at(pts[[i - 1 for i in index_choice]])
         object.__setattr__(self, "L_map", l_map)
         chosen = set(index_choice)
         rest = tuple(i for i in range(1, center.N + 1) if i not in chosen)

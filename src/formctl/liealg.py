@@ -6,9 +6,10 @@ runs over the off-diagonal coordinates: a zero row-sum matrix is determined
 by its off-diagonal part, and in those coordinates the edge generators form
 the standard lattice basis.
 
-Arithmetic stays in int64 while safe and falls back to Python integers when
-a product or a row sum could overflow, so results are exact at any
-coefficient size.
+Every sum, product, bracket and elimination runs on Python integers, so
+results are exact at any coefficient size. Storage is decided in one place:
+a matrix's ``array`` is int64 when every entry fits, and an object array of
+Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -43,30 +44,26 @@ __all__ = [
     "IntRowEchelon",
 ]
 
-# int64 products are computed only when operands fit under this bound;
-# otherwise the computation switches to Python integers.
-_INT64_SAFE = 2**62
 
-
-def _abs_max(arr: np.ndarray) -> int:
-    """Largest |entry| of an int64 array; np.abs would wrap -2^63 to itself."""
-    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+def _exact(arr: np.ndarray) -> np.ndarray:
+    """Copy of an integer array as Python integers; all arithmetic runs on these."""
+    return arr.astype(object)
 
 
 def _as_int_array(entries) -> np.ndarray:
+    """Square integer array: int64 when every entry fits, else Python integers."""
     arr = np.asarray(entries)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SizeMismatch(f"expected a square matrix, got shape {arr.shape}")
-    if arr.dtype == object:
-        if not all(isinstance(x, int) for x in arr.reshape(-1)):
-            raise NotZeroRowSum("entries must be integers")
-        return arr
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(rounded, arr):
-            raise NotZeroRowSum("entries must be integers")
-        arr = rounded
-    return arr.astype(np.int64, copy=True)
+    flat = arr.reshape(-1).tolist()
+    try:
+        ints = [int(x) for x in flat]
+    except (TypeError, ValueError, OverflowError):
+        raise NotZeroRowSum("entries must be integers") from None
+    if ints != flat:
+        raise NotZeroRowSum("entries must be integers")
+    fits = not ints or (-2**63 <= min(ints) and max(ints) < 2**63)
+    return np.array(ints, dtype=np.int64 if fits else object).reshape(arr.shape)
 
 
 class ZeroRowSumMatrix:
@@ -76,9 +73,7 @@ class ZeroRowSumMatrix:
 
     def __init__(self, entries):
         arr = _as_int_array(entries)
-        # row sums are bounded by max |entry| times n; past that, exact ints
-        wide = arr.dtype != object and _abs_max(arr) * arr.shape[0] >= _INT64_SAFE
-        sums = (arr.astype(object) if wide else arr).sum(axis=1)
+        sums = _exact(arr).sum(axis=1)
         if np.any(sums != 0):
             bad = int(np.flatnonzero(sums)[0]) + 1
             raise NotZeroRowSum(f"row {bad} sums to {sums[bad - 1]}, expected 0")
@@ -95,8 +90,7 @@ class ZeroRowSumMatrix:
         return self.size == other.size and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash((self.size, self.array.tobytes() if self.array.dtype != object
-                     else tuple(map(int, self.array.reshape(-1)))))
+        return hash(tuple(self.array.reshape(-1).tolist()))
 
     def __setattr__(self, name, value):
         raise AttributeError("ZeroRowSumMatrix is immutable")
@@ -153,11 +147,7 @@ class GeneratorCombination:
 
     def dense(self, size: int) -> ZeroRowSumMatrix:
         # each diagonal entry is minus its row's sum of coefficients
-        row_abs: dict[int, int] = {}
-        for (i, _), c in self.terms.items():
-            row_abs[i] = row_abs.get(i, 0) + abs(c)
-        huge = max(row_abs.values(), default=0) >= _INT64_SAFE
-        arr = np.zeros((size, size), dtype=object if huge else np.int64)
+        arr = np.zeros((size, size), dtype=object)
         for (i, j), c in self.terms.items():
             if not (1 <= i <= size and 1 <= j <= size):
                 raise InvalidIndices(f"edge {i}->{j} out of range 1..{size}")
@@ -178,22 +168,12 @@ class GeneratorCombination:
         return f"GeneratorCombination({{{items}}})"
 
 
-def _bracket_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype == object or b.dtype == object:
-        return a @ b - b @ a
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[0]
-    if 2 * bound >= _INT64_SAFE:
-        ao = a.astype(object)
-        bo = b.astype(object)
-        return ao @ bo - bo @ ao
-    return a @ b - b @ a
-
-
 def bracket(a: ZeroRowSumMatrix, b: ZeroRowSumMatrix) -> ZeroRowSumMatrix:
     """Commutator ab - ba; zero row sums are preserved."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
-    return ZeroRowSumMatrix(_bracket_arrays(a.array, b.array))
+    x, y = _exact(a.array), _exact(b.array)
+    return ZeroRowSumMatrix(x @ y - y @ x)
 
 
 def structural_bracket(a: EdgeGenerator, b: EdgeGenerator) -> GeneratorCombination:
@@ -222,39 +202,12 @@ def structural_bracket(a: EdgeGenerator, b: EdgeGenerator) -> GeneratorCombinati
 # -- exact rank bookkeeping ------------------------------------------------
 
 def _gcd_normalize(row: np.ndarray) -> np.ndarray:
-    """Divide by the gcd of the entries and make the pivot positive."""
-    if row.dtype == object:
-        g = 0
-        for x in row:
-            g = gcd(g, abs(int(x)))
-            if g == 1:
-                break
-        if g > 1:
-            row = np.array([int(x) // g for x in row], dtype=object)
-        nz = [k for k, x in enumerate(row) if x != 0]
-        if nz and row[nz[0]] < 0:
-            row = np.array([-int(x) for x in row], dtype=object)
-        if all(abs(int(x)) < _INT64_SAFE for x in row):
-            row = row.astype(np.int64)
-        return row
-    g = int(np.gcd.reduce(np.abs(row)))
-    if g > 1:
-        row = row // g
+    """Divide a Python-int row by the gcd of its entries; make the pivot positive."""
     nz = np.flatnonzero(row)
-    if nz.size and row[nz[0]] < 0:
-        row = -row
-    return row
-
-
-def _combine(v: np.ndarray, r: np.ndarray, vp: int, rp: int) -> np.ndarray:
-    """rp * v - vp * r, escalating to Python integers when int64 could wrap."""
-    if v.dtype != object and r.dtype != object:
-        bound = abs(rp) * int(np.abs(v).max(initial=0)) + abs(vp) * int(np.abs(r).max(initial=0))
-        if bound < _INT64_SAFE:
-            return rp * v - vp * r
-    vo = v.astype(object) if v.dtype != object else v
-    ro = r.astype(object) if r.dtype != object else r
-    return rp * vo - vp * ro
+    if nz.size == 0:
+        return row
+    g = gcd(*row)
+    return row // (g if row[nz[0]] > 0 else -g)
 
 
 class IntRowEchelon:
@@ -282,15 +235,15 @@ class IntRowEchelon:
         for p, r in zip(self.pivots, self.rows):
             vp = v[p]
             if vp != 0:
-                v = _gcd_normalize(_combine(v, r, int(vp), int(r[p])))
+                v = _gcd_normalize(r[p] * v - vp * r)
         return v
 
     def insert(self, vec: np.ndarray) -> bool:
         """Adjoin vec if independent of the stored rows; True when rank grew."""
         if vec.shape != (self.width,):
             raise SizeMismatch(f"expected width {self.width}, got {vec.shape}")
-        v = self.residual(vec if vec.dtype == object else vec.astype(np.int64))
-        nz = np.flatnonzero(v != 0) if v.dtype == object else np.flatnonzero(v)
+        v = self.residual(_exact(vec))
+        nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
         v = _gcd_normalize(v)
@@ -299,7 +252,7 @@ class IntRowEchelon:
         # are untouched because v is already zero there
         for k, r in enumerate(self.rows):
             if r[pivot] != 0:
-                self.rows[k] = _gcd_normalize(_combine(r, v, int(r[pivot]), int(v[pivot])))
+                self.rows[k] = _gcd_normalize(v[pivot] * r - r[pivot] * v)
         k = 0
         while k < len(self.pivots) and self.pivots[k] < pivot:
             k += 1
@@ -308,8 +261,7 @@ class IntRowEchelon:
         return True
 
     def contains(self, vec: np.ndarray) -> bool:
-        v = self.residual(vec if vec.dtype == object else vec.astype(np.int64))
-        return not np.any(v != 0)
+        return np.flatnonzero(self.residual(_exact(vec))).size == 0
 
 
 def _offdiag_coords(arr: np.ndarray) -> np.ndarray:
@@ -383,18 +335,23 @@ def lie_closure(generators: Iterable[EdgeGenerator | ZeroRowSumMatrix]) -> LieBa
     ambient = size * (size - 1)
     ech = IntRowEchelon(ambient)
     basis: list[ZeroRowSumMatrix] = []
+    exact: list[np.ndarray] = []  # Python-int copy of each basis element
     pairs: deque[tuple[int, int]] = deque()
     for m in mats:
         if ech.insert(_offdiag_coords(m.array)):
             basis.append(m)
+            exact.append(_exact(m.array))
             k = len(basis) - 1
             pairs.extend((a, k) for a in range(k))
 
+    # a bracket of zero row-sum matrices has zero row sums, so candidates
+    # stay raw arrays and only the accepted ones are validated and wrapped
     while pairs and ech.rank < ambient:
         a, b = pairs.popleft()
-        cand = ZeroRowSumMatrix(_bracket_arrays(basis[a].array, basis[b].array))
-        if ech.insert(_offdiag_coords(cand.array)):
-            basis.append(cand)
+        cand = exact[a] @ exact[b] - exact[b] @ exact[a]
+        if ech.insert(_offdiag_coords(cand)):
+            basis.append(ZeroRowSumMatrix(cand))
+            exact.append(cand)
             k = len(basis) - 1
             pairs.extend((x, k) for x in range(k))
     return LieBasis(size, basis)

@@ -36,6 +36,9 @@ from formctl.liealg import (
 
 from helpers import digraphs
 
+# exact arithmetic must never pass through a numpy cast or overflow
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @st.composite
 def zero_row_sum_matrices(draw, min_n: int = 2, max_n: int = 5, bound: int = 6):
@@ -72,6 +75,9 @@ class TestZeroRowSumMatrix:
     def test_accepts_integral_floats(self):
         m = ZeroRowSumMatrix(np.array([[-1.0, 1.0], [0.0, 0.0]]))
         assert m == ZeroRowSumMatrix([[-1, 1], [0, 0]])
+        # past int64 the conversion is exact too
+        big = ZeroRowSumMatrix([[1e19, -1e19], [0.0, 0.0]])
+        assert big.array.tolist() == [[10**19, -10**19], [0, 0]]
 
     def test_immutable(self):
         m = ZeroRowSumMatrix([[0, 0], [0, 0]])
@@ -82,8 +88,9 @@ class TestZeroRowSumMatrix:
 
     def test_hashable(self):
         a = ZeroRowSumMatrix([[-1, 1], [0, 0]])
-        b = ZeroRowSumMatrix([[-1, 1], [0, 0]])
+        b = ZeroRowSumMatrix(np.array([[-1, 1], [0, 0]], dtype=object))
         assert hash(a) == hash(b) and a == b
+        assert len({a, b}) == 1
 
     @pytest.mark.parametrize("rows", [[[2**62] * 4] * 4, [[-2**63, -2**63], [0, 0]]])
     def test_row_sums_past_int64_are_exact(self, rows):
@@ -154,6 +161,14 @@ class TestBracket:
                  + bracket(b, bracket(c, a)).array
                  + bracket(c, bracket(a, b)).array)
         assert not np.any(total)
+
+    def test_result_is_int64_when_entries_fit(self):
+        # entries of 2^62 fit int64, so that is how the bracket is stored
+        a = ZeroRowSumMatrix([[-2**31, 2**31], [0, 0]])
+        b = ZeroRowSumMatrix([[0, 0], [2**31, -2**31]])
+        c = bracket(a, b)
+        assert c.array.dtype == np.int64
+        assert c.array.tolist() == [[2**62, -2**62], [2**62, -2**62]]
 
     def test_antisymmetry(self):
         x, y = A(1, 3, 4), A(3, 2, 4)
@@ -329,6 +344,12 @@ class TestSpanPredicates:
     def test_dependent_elements_rejected(self):
         with pytest.raises(RankMismatch):
             LieBasis(2, [A(1, 2, 2), ZeroRowSumMatrix(3 * A(1, 2, 2).array)])
+
+    def test_contains_element_holding_int64_extremes(self):
+        # negating -2^63 in int64 wraps to itself
+        m = ZeroRowSumMatrix([[2**63 - 1, -2**63, 1], [0, 0, 0], [0, 0, 0]])
+        assert m.array.dtype == np.int64
+        assert span_contains(LieBasis(3, [m]), m)
 
     def test_dimension_bounded_by_ambient(self):
         b = lie_closure(edge_generators(Digraph.complete(4)))
