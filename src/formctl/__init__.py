@@ -25,10 +25,8 @@ from .configspace import (
     component_sign,
     configuration_rank,
     extend_simplex_with_point,
-    extended_matrix_rank,
     find_nondegenerate_simplex,
     in_controllable_set,
-    intersect_affine,
     load_configuration,
     local_chart,
     sample_configuration,
@@ -67,7 +65,6 @@ from .larc import (
 )
 from .liealg import (
     EdgeGenerator,
-    GeneratorCombination,
     LieBasis,
     ZeroRowSumMatrix,
     bracket,
@@ -75,5 +72,4 @@ from .liealg import (
     lie_closure,
     span_contains,
     span_equal,
-    structural_bracket,
 )

@@ -7,10 +7,8 @@ agent-major; the two layouts differ by a fixed index permutation.
 
 One rule decides every numeric rank in the package: count the singular
 values above RANK_TOL times the largest one (``_rank_of``). Configuration
-and control-field ranks, affine hulls and intersections all use it, and no
-caller can change RANK_TOL. The only other threshold a result depends on
-is ``intersect_affine``'s distance bound, 1e-8 * (1 + scale), for accepting
-a common point. (Lie closure dimensions are exact integer ranks.)
+and control-field ranks and affine hulls all use it, and no caller can
+change RANK_TOL. (Lie closure dimensions are exact integer ranks.)
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ __all__ = [
     "numeric_rank",
     "Configuration",
     "configuration_rank",
-    "extended_matrix_rank",
     "ControllableSetMembership",
     "in_controllable_set",
     "StratumChart",
@@ -52,7 +49,6 @@ __all__ = [
     "extend_simplex_with_point",
     "AffineSubspace",
     "affine_hull",
-    "intersect_affine",
     "subspace_distance",
     "component_sign",
     "sample_configuration",
@@ -181,12 +177,6 @@ def configuration_rank(p: Configuration, subset: Iterable[int] | None = None) ->
         return numeric_rank(_difference_matrix(p, idx))
     except SizeMismatch:  # p is finite, so a difference overflowed
         raise SizeMismatch(_OVERFLOW) from None
-
-
-def extended_matrix_rank(p: Configuration) -> int:
-    """Rank of the N x (n+1) matrix whose columns are 1, x^1, ..., x^n."""
-    xe = np.column_stack([np.ones(p.N), p.coords.reshape(p.n, p.N).T])
-    return numeric_rank(xe)
 
 
 @dataclass(frozen=True)
@@ -467,37 +457,6 @@ def affine_hull(points: Sequence) -> AffineSubspace:
         raise SizeMismatch("coordinates must be finite")
     u, s, _ = np.linalg.svd(diffs, full_matrices=False)
     return AffineSubspace(base, u[:, :_rank_of(s)])
-
-
-def intersect_affine(subspaces: Sequence[AffineSubspace]) -> AffineSubspace | None:
-    """Common intersection, or None when the subspaces share no point.
-
-    A candidate point from stacked least squares is accepted when its
-    distance to every subspace is at most 1e-8 * (1 + scale), with scale the
-    largest coordinate magnitude involved.
-    """
-    subs = list(subspaces)
-    if not subs:
-        raise EmptyInput("intersect_affine needs at least one subspace")
-    ambient = subs[0].ambient
-    for s in subs:
-        if s.ambient != ambient:
-            raise DimensionMismatch(
-                f"ambient dimensions differ: {s.ambient} vs {ambient}")
-    # stack the normal-space conditions P_m (x - b_m) = 0
-    projectors = [np.eye(ambient) - s.basis @ s.basis.T for s in subs]
-    a = np.vstack(projectors)
-    rhs = np.concatenate([pr @ s.base_point for pr, s in zip(projectors, subs)])
-    x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    scale = max(
-        [float(np.max(np.abs(s.base_point), initial=0.0)) for s in subs]
-        + [float(np.max(np.abs(x), initial=0.0))])
-    if any(s.distance(x) > 1e-8 * (1.0 + scale) for s in subs):
-        return None
-    _, sv, vt = np.linalg.svd(a, full_matrices=False)
-    dim = ambient - _rank_of(sv)
-    basis = vt[ambient - dim:].T if dim else np.zeros((ambient, 0))
-    return AffineSubspace(x, basis)
 
 
 def subspace_distance(a: AffineSubspace, b: AffineSubspace) -> float:

@@ -89,8 +89,40 @@ class Digraph:
         return _tarjan_components(self)
 
     @_cached
+    def _reach(self) -> tuple[tuple[int, ...], ...]:
+        """Entry v - 1: the vertices v's strong component reaches, its own
+        included. The vertices of one component share one tuple."""
+        comps, _ = self._tarjan
+        owner = [0] * (self.num_vertices + 1)
+        for k, comp in enumerate(comps):
+            for v in comp:
+                owner[v] = k
+        # reverse topological order: every successor's reach is final when read
+        masks: list[int] = []               # bitmask over component indices
+        reach: list[tuple[int, ...]] = [()] * self.num_vertices
+        for k, comp in enumerate(comps):
+            mask = 1 << k
+            for i in comp:
+                for j in self.adjacency[i - 1]:
+                    c = owner[j]
+                    if c != k:
+                        mask |= masks[c]
+            masks.append(mask)
+            reached: list[int] = []
+            while mask:
+                low = mask & -mask
+                reached.extend(comps[low.bit_length() - 1])
+                mask ^= low
+            shared = tuple(reached)
+            for v in comp:
+                reach[v - 1] = shared
+        return tuple(reach)
+
+    @_cached
     def _closure(self) -> "Digraph":
-        return _closure_of(self)
+        # j != i drops the vertex itself, whether or not it lies on a cycle
+        return Digraph(self.num_vertices, [(i, j) for i, reached in enumerate(self._reach, 1)
+                                           for j in reached if j != i])
 
     @_cached
     def _scd(self) -> "ScdReport | None":
@@ -263,39 +295,12 @@ def coarse_scd(g: Digraph) -> ScdReport:
 def transitive_closure(g: Digraph) -> Digraph:
     """Digraph with an edge i->j wherever g has a nonempty path, i != j.
 
-    Computed once per graph through the component condensation: vertices of
-    one strongly connected component of size >= 2 see each other, and a
-    component sees every vertex of every component reachable from it.
+    Computed once per graph from the reach sets of the component
+    condensation: vertices of one strongly connected component of size >= 2
+    see each other, and a component sees every vertex of every component
+    reachable from it.
     """
     return g._closure
-
-
-def _closure_of(g: Digraph) -> Digraph:
-    comps, _ = g._tarjan
-    owner = [0] * (g.num_vertices + 1)
-    for k, comp in enumerate(comps):
-        for v in comp:
-            owner[v] = k
-    # reverse topological order: every successor's reach is final when read
-    reach: list[int] = []               # bitmask over component indices
-    edges = []
-    for k, comp in enumerate(comps):
-        mask = 1 << k
-        for i in comp:
-            for j in g.adjacency[i - 1]:
-                c = owner[j]
-                if c != k:
-                    mask |= reach[c]
-        reach.append(mask)
-        if len(comp) == 1:
-            mask ^= 1 << k  # no nonempty cycle through an isolated vertex
-        targets: list[int] = []
-        while mask:
-            low = mask & -mask
-            targets.extend(comps[low.bit_length() - 1])
-            mask ^= low
-        edges.extend((i, j) for i in comp for j in targets if i != j)
-    return Digraph(g.num_vertices, edges)
 
 
 class StructuralKind(enum.Enum):

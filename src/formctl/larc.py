@@ -5,9 +5,12 @@ the closure algebra, where D(A) repeats A once per coordinate. By the
 closure characterization, their span is determined by the transitive closure
 of the interaction graph, and because the field of edge i->j is supported on
 agent i's coordinate slots alone, the span dimension decomposes into a sum
-of small per-agent ranks of the differences x_j - x_i. The witness ranks
-the same matrices: every agent takes the first face of its simplex whose
-differences from the agent have rank n.
+of per-agent ranks of the differences x_j - x_i. An agent i of strong
+component C reaches exactly R(C), the agents C reaches, C included, so its
+rank is dim aff R(C): one rank per component, read from the graph's cached
+reach sets, never from the closure's edges. The witness ranks per agent:
+every agent takes the first face of its simplex whose differences from the
+agent have rank n.
 """
 
 from __future__ import annotations
@@ -20,17 +23,11 @@ from .configspace import (
     Configuration,
     _OVERFLOW,
     _leave_one_out,
+    configuration_rank,
     find_nondegenerate_simplex,
     in_controllable_set,
-    numeric_rank,
 )
-from .digraph import (
-    Digraph,
-    StructuralKind,
-    coarse_scd,
-    structural_verdict,
-    transitive_closure,
-)
+from .digraph import Digraph, StructuralKind, coarse_scd, structural_verdict
 from .errors import NotInControllableSet, SizeMismatch, StructuralFailure
 
 __all__ = [
@@ -42,11 +39,6 @@ __all__ = [
     "construct_witness_basis",
     "format_witness_csv",
 ]
-
-
-def _field_rank(pts: np.ndarray, i: int, targets) -> int:
-    """rank{x_j - x_i : j in targets}, the span of agent i's fields toward targets."""
-    return numeric_rank((pts[[j - 1 for j in targets]] - pts[i - 1]).T)
 
 
 @dataclass(frozen=True)
@@ -68,20 +60,28 @@ def lie_algebra_at(p: Configuration, g: Digraph) -> LarcReport:
 
     Per agent i, the fields of edges i->j in the transitive closure occupy
     agent i's coordinate slots only, so the total dimension is the sum over
-    agents of rank{x_j - x_i}.
+    agents of rank{x_j - x_i}. For i in strong component C that rank is
+    dim aff R(C), taken once per component. g need not be weakly connected.
+
+    Raises SizeMismatch when some coordinate's spread over the agents
+    overflows, even if no agent reaches across it.
     """
     if p.N != g.num_vertices:
         raise SizeMismatch(
             f"graph has {g.num_vertices} vertices, configuration has {p.N} agents")
-    closed = transitive_closure(g)
-    pts = p.agents
-    try:
-        # p is finite, so a difference that is not has overflowed
-        with np.errstate(over="ignore"):
-            ranks = [_field_rank(pts, i, closed.adjacency[i - 1]) for i in range(1, p.N + 1)]
-    except SizeMismatch:
-        raise SizeMismatch(_OVERFLOW) from None
-    return LarcReport(sum(ranks), p.n * p.N, tuple(ranks), len(closed.edges))
+    # p is finite, so a spread that is not has overflowed; every difference
+    # ranked below is at most a spread
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.ptp(p.agents, axis=0)).all():
+            raise SizeMismatch(_OVERFLOW)
+    reach = g._reach
+    ranks = [0] * p.N
+    for comp in g._tarjan[0]:
+        rank = configuration_rank(p, reach[comp[0] - 1])
+        for i in comp:
+            ranks[i - 1] = rank
+    return LarcReport(sum(ranks), p.n * p.N, tuple(ranks),
+                      sum(len(reached) - 1 for reached in reach))
 
 
 def larc_passes(p: Configuration, g: Digraph) -> bool:
@@ -158,7 +158,6 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
         fields[rows, np.arange(n) * p.N + (i - 1)] = pts[[j - 1 for j in targets]] - pts[i - 1]
         labels.extend((kind, w, (i, j)) for j in targets)
 
-    closed = transitive_closure(g)
     maximal = sorted(scd.maximal_set)
     simplices: dict[int, tuple[int, ...]] = {}
     for w in maximal:
@@ -172,8 +171,7 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
         w = scd.component_of(j)
         if w not in scd.maximal_set:
             # smallest-label maximal component that j reaches
-            w = next(m for m in maximal
-                     if (j, scd.components[m - 1][0]) in closed.edges)
+            w = next(m for m in maximal if scd.components[m - 1][0] in g._reach[j - 1])
         attach("attachment", w, j, simplices[w], range(1, n + 2))
     fields.setflags(write=False)
     vectors = tuple(WitnessVector(*label, row) for label, row in zip(labels, fields))

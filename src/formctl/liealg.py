@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -33,11 +33,9 @@ from .errors import (
 __all__ = [
     "ZeroRowSumMatrix",
     "EdgeGenerator",
-    "GeneratorCombination",
     "LieBasis",
     "edge_generators",
     "bracket",
-    "structural_bracket",
     "lie_closure",
     "span_equal",
     "span_contains",
@@ -130,73 +128,12 @@ def edge_generators(g: Digraph) -> list[EdgeGenerator]:
     return [EdgeGenerator(i, j, g.num_vertices) for i, j in sorted(g.edges)]
 
 
-class GeneratorCombination:
-    """Integer linear combination of edge generators, keyed by (i, j)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
-        clean: dict[tuple[int, int], int] = {}
-        for (i, j), c in dict(terms).items():
-            if i == j:
-                raise InvalidIndices(f"combination key ({i}, {j}) has i = j")
-            c = int(c)
-            if c != 0:
-                clean[(int(i), int(j))] = c
-        object.__setattr__(self, "terms", clean)
-
-    def dense(self, size: int) -> ZeroRowSumMatrix:
-        # each diagonal entry is minus its row's sum of coefficients
-        arr = np.zeros((size, size), dtype=object)
-        for (i, j), c in self.terms.items():
-            if not (1 <= i <= size and 1 <= j <= size):
-                raise InvalidIndices(f"edge {i}->{j} out of range 1..{size}")
-            arr[i - 1, j - 1] += c
-            arr[i - 1, i - 1] -= c
-        return ZeroRowSumMatrix(arr)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneratorCombination):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorCombination is immutable")
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"A_{i}{j}: {c:+d}" for (i, j), c in sorted(self.terms.items()))
-        return f"GeneratorCombination({{{items}}})"
-
-
 def bracket(a: ZeroRowSumMatrix, b: ZeroRowSumMatrix) -> ZeroRowSumMatrix:
     """Commutator ab - ba; zero row sums are preserved."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
     x, y = _exact(a.array), _exact(b.array)
     return ZeroRowSumMatrix(x @ y - y @ x)
-
-
-def structural_bracket(a: EdgeGenerator, b: EdgeGenerator) -> GeneratorCombination:
-    """Symbolic commutator of two edge generators, from the case table.
-
-    Covers every index pattern; the 2-cycle pair gives [A_ij, A_ji] = A_ji - A_ij.
-    """
-    if a.size != b.size:
-        raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
-    i, j, p, q = a.i, a.j, b.i, b.j
-    if (i, j) == (p, q):
-        terms = {}
-    elif j == p and q == i:
-        terms = {(j, i): 1, (i, j): -1}
-    elif i == p:
-        terms = {(i, j): 1, (i, q): -1}
-    elif j == p:
-        terms = {(i, q): 1, (i, j): -1}
-    elif q == i:
-        terms = {(p, i): 1, (p, j): -1}
-    else:
-        terms = {}
-    return GeneratorCombination(terms)
 
 
 # -- exact rank bookkeeping ------------------------------------------------
@@ -238,11 +175,17 @@ class IntRowEchelon:
                 v = _gcd_normalize(r[p] * v - vp * r)
         return v
 
-    def insert(self, vec: np.ndarray) -> bool:
-        """Adjoin vec if independent of the stored rows; True when rank grew."""
+    def _exact_row(self, vec: np.ndarray) -> np.ndarray:
+        """vec as Python integers, refused unless integer-typed and of the width."""
         if vec.shape != (self.width,):
             raise SizeMismatch(f"expected width {self.width}, got {vec.shape}")
-        v = self.residual(_exact(vec))
+        if vec.dtype.kind not in "iuO":
+            raise NotZeroRowSum("entries must be integers")
+        return _exact(vec)
+
+    def insert(self, vec: np.ndarray) -> bool:
+        """Adjoin vec if independent of the stored rows; True when rank grew."""
+        v = self.residual(self._exact_row(vec))
         nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
@@ -261,7 +204,7 @@ class IntRowEchelon:
         return True
 
     def contains(self, vec: np.ndarray) -> bool:
-        return np.flatnonzero(self.residual(_exact(vec))).size == 0
+        return np.flatnonzero(self.residual(self._exact_row(vec))).size == 0
 
 
 def _offdiag_coords(arr: np.ndarray) -> np.ndarray:
@@ -284,9 +227,19 @@ class LieBasis:
                 raise SizeMismatch(f"element size {m.size} != basis size {size}")
             if not ech.insert(_offdiag_coords(m.array)):
                 raise RankMismatch("basis elements are linearly dependent")
+        self._fill(size, elems, ech)
+
+    @classmethod
+    def _on_echelon(cls, size: int, elements: tuple, echelon: IntRowEchelon) -> "LieBasis":
+        """A basis on the echelon that already took in, and proved independent, every element."""
+        basis = object.__new__(cls)
+        basis._fill(size, elements, echelon)
+        return basis
+
+    def _fill(self, size: int, elements: tuple, echelon: IntRowEchelon) -> None:
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_echelon", ech)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_echelon", echelon)
 
     @property
     def dimension(self) -> int:
@@ -354,4 +307,4 @@ def lie_closure(generators: Iterable[EdgeGenerator | ZeroRowSumMatrix]) -> LieBa
             exact.append(cand)
             k = len(basis) - 1
             pairs.extend((x, k) for x in range(k))
-    return LieBasis(size, basis)
+    return LieBasis._on_echelon(size, tuple(basis), ech)

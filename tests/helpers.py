@@ -9,13 +9,21 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Mapping, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from formctl.configspace import Configuration
+from formctl.configspace import AffineSubspace, Configuration, _rank_of, numeric_rank
 from formctl.digraph import Digraph, coarse_scd, transitive_closure
 from formctl.dynamics import Trajectory, expm
+from formctl.errors import (
+    DimensionMismatch,
+    EmptyInput,
+    InvalidIndices,
+    SizeMismatch,
+)
+from formctl.liealg import EdgeGenerator, ZeroRowSumMatrix
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -169,6 +177,69 @@ def verify_scd_closure_commutation(g: Digraph) -> bool:
     return scd_closed.skeleton == transitive_closure(scd.skeleton)
 
 
+# -- symbolic brackets, the case table checked against dense commutators ---
+
+class GeneratorCombination:
+    """Integer linear combination of edge generators, keyed by (i, j)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
+        clean: dict[tuple[int, int], int] = {}
+        for (i, j), c in dict(terms).items():
+            if i == j:
+                raise InvalidIndices(f"combination key ({i}, {j}) has i = j")
+            c = int(c)
+            if c != 0:
+                clean[(int(i), int(j))] = c
+        object.__setattr__(self, "terms", clean)
+
+    def dense(self, size: int) -> ZeroRowSumMatrix:
+        # each diagonal entry is minus its row's sum of coefficients
+        arr = np.zeros((size, size), dtype=object)
+        for (i, j), c in self.terms.items():
+            if not (1 <= i <= size and 1 <= j <= size):
+                raise InvalidIndices(f"edge {i}->{j} out of range 1..{size}")
+            arr[i - 1, j - 1] += c
+            arr[i - 1, i - 1] -= c
+        return ZeroRowSumMatrix(arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneratorCombination):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GeneratorCombination is immutable")
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"A_{i}{j}: {c:+d}" for (i, j), c in sorted(self.terms.items()))
+        return f"GeneratorCombination({{{items}}})"
+
+
+def structural_bracket(a: EdgeGenerator, b: EdgeGenerator) -> GeneratorCombination:
+    """Symbolic commutator of two edge generators, from the case table.
+
+    Covers every index pattern; the 2-cycle pair gives [A_ij, A_ji] = A_ji - A_ij.
+    """
+    if a.size != b.size:
+        raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
+    i, j, p, q = a.i, a.j, b.i, b.j
+    if (i, j) == (p, q):
+        terms = {}
+    elif j == p and q == i:
+        terms = {(j, i): 1, (i, j): -1}
+    elif i == p:
+        terms = {(i, j): 1, (i, q): -1}
+    elif j == p:
+        terms = {(i, q): 1, (i, j): -1}
+    elif q == i:
+        terms = {(p, i): 1, (p, j): -1}
+    else:
+        terms = {}
+    return GeneratorCombination(terms)
+
+
 # -- matrices and spans ----------------------------------------------------
 
 def random_zero_row_sum(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> np.ndarray:
@@ -208,6 +279,16 @@ def stacked_field_rank(p, g: Digraph, tol: float = 1e-9) -> int:
         return 0
     s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
     return int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0
+
+
+def larc_per_agent(p, g: Digraph) -> tuple[tuple[int, ...], int]:
+    """Per-agent LARC ranks rank{x_j - x_i} over agent i's out-neighbours in
+    the transitive closure, one SVD per agent, and the closure's edge count."""
+    closed = transitive_closure(g)
+    pts = p.agents
+    ranks = tuple(numeric_rank((pts[[j - 1 for j in closed.adjacency[i - 1]]] - pts[i - 1]).T)
+                  for i in range(1, p.N + 1))
+    return ranks, len(closed.edges)
 
 
 def sink_component_graph(rng: random.Random, n_comps: int, comp_sizes: list[int]) -> Digraph:
@@ -305,6 +386,46 @@ def far_source_k4() -> tuple[Digraph, Configuration]:
     edges = [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
     return Digraph(5, edges + [(5, 1)]), Configuration.from_agents(
         sink + [[91088.2523649101, 213490.06161589033]])
+
+
+# -- affine oracles ---------------------------------------------------------
+
+def extended_matrix_rank(p: Configuration) -> int:
+    """Rank of the N x (n+1) matrix whose columns are 1, x^1, ..., x^n."""
+    xe = np.column_stack([np.ones(p.N), p.coords.reshape(p.n, p.N).T])
+    return numeric_rank(xe)
+
+
+def intersect_affine(subspaces: Sequence[AffineSubspace]) -> AffineSubspace | None:
+    """Common intersection, or None when the subspaces share no point.
+
+    A candidate point from stacked least squares is accepted when its
+    distance to every subspace is at most 1e-8 * (1 + scale), with scale the
+    largest coordinate magnitude involved. Besides the rank rule, that bound
+    is the only threshold the result depends on.
+    """
+    subs = list(subspaces)
+    if not subs:
+        raise EmptyInput("intersect_affine needs at least one subspace")
+    ambient = subs[0].ambient
+    for s in subs:
+        if s.ambient != ambient:
+            raise DimensionMismatch(
+                f"ambient dimensions differ: {s.ambient} vs {ambient}")
+    # stack the normal-space conditions P_m (x - b_m) = 0
+    projectors = [np.eye(ambient) - s.basis @ s.basis.T for s in subs]
+    a = np.vstack(projectors)
+    rhs = np.concatenate([pr @ s.base_point for pr, s in zip(projectors, subs)])
+    x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    scale = max(
+        [float(np.max(np.abs(s.base_point), initial=0.0)) for s in subs]
+        + [float(np.max(np.abs(x), initial=0.0))])
+    if any(s.distance(x) > 1e-8 * (1.0 + scale) for s in subs):
+        return None
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    dim = ambient - _rank_of(sv)
+    basis = vt[ambient - dim:].T if dim else np.zeros((ambient, 0))
+    return AffineSubspace(x, basis)
 
 
 # -- file format halves the library itself never needs ---------------------

@@ -24,9 +24,7 @@ from formctl.configspace import (
     affine_hull,
     configuration_rank,
     extend_simplex_with_point,
-    extended_matrix_rank,
     in_controllable_set,
-    intersect_affine,
     local_chart,
     sample_configuration,
     subspace_distance,
@@ -56,13 +54,15 @@ from formctl.liealg import (
     edge_generators,
     lie_closure,
     span_equal,
-    structural_bracket,
 )
 from helpers import (
+    extended_matrix_rank,
+    intersect_affine,
     minimum_scd_partitions,
     rank_k_near,
     random_connected_digraph,
     sink_component_graph,
+    structural_bracket,
     verify_scd_closure_commutation,
 )
 

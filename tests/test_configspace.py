@@ -16,12 +16,10 @@ from formctl.configspace import (
     component_sign,
     configuration_rank,
     extend_simplex_with_point,
-    extended_matrix_rank,
     find_nondegenerate_simplex,
     format_configuration_csv,
     format_configuration_json,
     in_controllable_set,
-    intersect_affine,
     load_configuration,
     local_chart,
     numeric_rank,
@@ -31,7 +29,7 @@ from formctl.configspace import (
     subspace_distance,
 )
 from formctl.digraph import Digraph, coarse_scd
-from helpers import rank_k_near
+from helpers import extended_matrix_rank, intersect_affine, rank_k_near
 from formctl.errors import (
     Degenerate,
     DimensionMismatch,

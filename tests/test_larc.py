@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formctl import configspace, digraph, larc
+from formctl import configspace, digraph
 from formctl.configspace import (
     Configuration,
     configuration_rank,
@@ -35,6 +35,7 @@ from formctl.liealg import EdgeGenerator, ZeroRowSumMatrix, bracket
 from helpers import (
     digraphs,
     far_source_k4,
+    larc_per_agent,
     lift_block_diagonal,
     random_connected_digraph,
     random_zero_row_sum,
@@ -153,6 +154,45 @@ class TestLieAlgebraAt:
                 g = Digraph.complete(N) if N > 1 else Digraph(1)
                 p = sample_configuration(n, N, seed=N)
                 assert not larc_passes(p, g)
+
+
+class TestRankPerStrongComponent:
+    def test_one_rank_per_component(self, monkeypatch):
+        # two K4 sinks and their source are three components: three ranks, not nine
+        shapes = []
+        numeric_rank = configspace.numeric_rank
+
+        def recorded(mat):
+            shapes.append(np.shape(mat))
+            return numeric_rank(mat)
+
+        monkeypatch.setattr(configspace, "numeric_rank", recorded)
+        g, p = two_k4_sinks(1.0)
+        rep = lie_algebra_at(p, g)
+        assert len(shapes) == 3
+        assert rep.per_agent_ranks == (2,) * 9
+
+    def test_certificate_chain_builds_no_closure(self):
+        g, p = two_k4_sinks(1.0)
+        lie_algebra_at(p, g)
+        construct_witness_basis(p, g)
+        assert "_closure" not in g.__dict__
+
+    @given(st.booleans().flatmap(lambda c: digraphs(min_n=1, max_n=8, connected=c)),
+           st.integers(1, 3), st.none() | st.integers(0, 3), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_agent_ranks_over_the_closure(self, g, n, k, seed):
+        N = g.num_vertices
+        p = (sample_configuration(n, N, seed=seed) if k is None else
+             sample_configuration(n, N, "rank_k", k=min(k, n, N - 1), seed=seed))
+        rep = lie_algebra_at(p, g)
+        assert (rep.per_agent_ranks, rep.closure_edge_count) == larc_per_agent(p, g)
+
+    def test_overflowing_spread_is_refused_even_between_unreached_agents(self):
+        # neither agent reaches the other, yet their spread overflows
+        p = Configuration.from_agents([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
+        with pytest.raises(SizeMismatch, match="overflow"):
+            lie_algebra_at(p, Digraph(3, [(1, 3), (2, 3)]))
 
 
 class TestSufficiencyAndNecessity:
@@ -277,7 +317,6 @@ class TestWitnessBasis:
             return numeric_rank(mat)
 
         monkeypatch.setattr(configspace, "numeric_rank", recorded)
-        monkeypatch.setattr(larc, "numeric_rank", recorded)
         g, p = two_k4_sinks(scale)
         construct_witness_basis(p, g)
         assert shapes.count((2, 2)) == 11

@@ -21,7 +21,6 @@ from formctl.errors import (
 )
 from formctl.liealg import (
     EdgeGenerator,
-    GeneratorCombination,
     IntRowEchelon,
     LieBasis,
     ZeroRowSumMatrix,
@@ -30,11 +29,10 @@ from formctl.liealg import (
     lie_closure,
     span_contains,
     span_equal,
-    structural_bracket,
     _offdiag_coords,
 )
 
-from helpers import digraphs
+from helpers import GeneratorCombination, digraphs, structural_bracket
 
 # exact arithmetic must never pass through a numpy cast or overflow
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -275,6 +273,15 @@ class TestIntRowEchelon:
         with pytest.raises(SizeMismatch):
             e.insert(np.array([1, 2]))
 
+    def test_float_vectors_refused(self):
+        e = IntRowEchelon(2)
+        assert e.insert(np.array([1, 2]))
+        with pytest.raises(NotZeroRowSum, match="integers"):
+            e.insert(np.array([1.0, 3.0]))
+        with pytest.raises(NotZeroRowSum, match="integers"):
+            e.contains(np.array([2.0, 4.0]))
+        assert e.rank == 1
+
 
 class TestLieClosure:
     def test_path_closure_dimension(self):
@@ -320,6 +327,23 @@ class TestLieClosure:
         b = lie_closure(edge_generators(g))
         for i, j in transitive_closure(g).edges:
             assert span_contains(b, A(i, j, g.num_vertices))
+
+    def test_result_keeps_the_closure_echelon(self, monkeypatch):
+        # the elements are not inserted a second time into a fresh echelon
+        widths = []
+        init = IntRowEchelon.__init__
+
+        def counted(echelon, width):
+            widths.append(width)
+            init(echelon, width)
+
+        monkeypatch.setattr(IntRowEchelon, "__init__", counted)
+        b = lie_closure(edge_generators(Digraph.path(4)))
+        assert widths == [12]
+        assert b.dimension == b._echelon.rank == 6
+        for i, j in transitive_closure(Digraph.path(4)).edges:
+            assert span_contains(b, A(i, j, 4))
+        assert not span_contains(b, A(2, 1, 4))
 
     def test_closure_is_a_fixed_point(self):
         b = lie_closure(edge_generators(Digraph.path(4)))
