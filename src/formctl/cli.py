@@ -6,7 +6,8 @@ file problems to exit code 2; argparse refuses missing or conflicting
 options with exit code 2 before any handler runs. Commands that produce an
 artifact (a configuration, control schedule, or trajectory) print it to
 stdout, or write it to --out and print a short report instead. Reports echo
-the tolerances and seeds that were in effect.
+the tolerances and seeds that were in effect. Each distinct warning a
+command raises goes to stderr once, as a "warning:" line.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -242,7 +244,6 @@ def _cmd_steer(args):
         f"converged: {'yes' if result.residual <= args.steer_tol else 'no'}",
         f"no progress: {'yes' if result.no_progress else 'no'}",
     ]
-    lines.extend(f"warning: {w}" for w in result.warnings)
     return "\n".join(lines), format_control_schedule_csv(result.controls)
 
 
@@ -268,12 +269,27 @@ def _cmd_track(args):
     return summary, format_trajectory_csv(result.trajectory)
 
 
+def _show_warnings(caught, stderr) -> None:
+    """Each distinct UserWarning once as a "warning:" line; others as Python shows them."""
+    for text in dict.fromkeys(str(w.message) for w in caught
+                              if issubclass(w.category, UserWarning)):
+        print(f"warning: {text}", file=stderr)
+    for w in caught:
+        if not issubclass(w.category, UserWarning):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
 def run(args: argparse.Namespace, stdout=None, stderr=None) -> int:
     """Execute a parsed command line: 0, or 1 for domain errors, 2 for bad input."""
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
-        report, artifact = args.handler(args)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                report, artifact = args.handler(args)
+        finally:
+            _show_warnings(caught, stderr)
         if artifact is None:
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:

@@ -8,7 +8,9 @@ agent-major; the two layouts differ by a fixed index permutation.
 One rule decides every numeric rank in the package: count the singular
 values above RANK_TOL times the largest one (``_rank_of``). Configuration
 and control-field ranks and affine hulls all use it, and no caller can
-change RANK_TOL. (Lie closure dimensions are exact integer ranks.)
+change RANK_TOL. There is no other threshold: a stratum chart solves in one
+frame, and a singular frame is an error (Degenerate). (Lie closure
+dimensions are exact integer ranks.)
 """
 
 from __future__ import annotations
@@ -209,88 +211,69 @@ def in_controllable_set(p: Configuration, scd: ScdReport) -> ControllableSetMemb
 
 # -- local charts of the rank strata ---------------------------------------
 
-def _orthonormalize(cols: np.ndarray, against: list[np.ndarray]) -> list[np.ndarray]:
-    """Gram-Schmidt of the columns against the given orthonormal vectors."""
-    out = list(against)
-    for col in cols.T:
-        v = col.astype(float)
-        scale = np.linalg.norm(v)
-        for q in out:
-            v = v - (q @ v) * q
-        norm = np.linalg.norm(v)
-        if norm <= 1e-12 * max(scale, 1.0):
-            raise Degenerate("vectors lost independence during orthonormalization")
-        out.append(v / norm)
-    return out[len(against):]
+def _check_spread(p: Configuration) -> None:
+    """Refuse p when a coordinate's spread over the agents, which bounds
+    every difference of two agents, overflows (p itself is finite)."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.ptp(p.agents, axis=0)).all():
+            raise SizeMismatch(_OVERFLOW)
 
 
 class StratumChart:
     """Local chart of the rank-k stratum around a center configuration.
 
-    ``forward`` sends a nearby configuration to chart coordinates (flat,
-    agent-major); the center maps to zero, and a configuration has rank k
-    exactly when the ``forced_zero_indices`` coordinates vanish. ``inverse``
+    ``forward`` sends a nearby configuration q to chart coordinates (flat,
+    agent-major); the center maps to exactly zero, and q has rank k exactly
+    when the ``forced_zero_indices`` coordinates vanish. ``inverse``
     reconstructs the configuration.
 
-    The map shifts the chosen agents directly and applies the frame
-    L = (A, B)^T to position differences from the first chosen agent for the
-    rest. Differences, not absolute positions, keep the rank condition
-    translation-invariant.
+    The chosen agents shift directly. Every other agent's difference from
+    the first chosen one is solved in the frame M(q) = [A(q) | B]: A(q)
+    holds the chosen agents' differences in q (n x k), and B, fixed at
+    construction, completes A at the center orthonormally (``B_part``). The
+    chart reports these coefficients less the center's; the last n - k
+    vanish exactly when the agent lies in the chosen agents' affine hull. A
+    singular frame raises Degenerate; the chart has no threshold of its own.
     """
 
     __slots__ = ("center", "k", "index_choice", "A_part", "B_part", "L_map",
-                 "_rest", "_center_agents", "_center_rest_image")
+                 "_chosen", "_rest", "_center_coefficients")
 
     def __init__(self, center: Configuration, k: int, index_choice: tuple[int, ...]):
-        n = center.n
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "index_choice", index_choice)
-        pts = center.agents
+        _check_spread(center)
         a_part = _difference_matrix(center, list(index_choice))
-        qa = _orthonormalize(a_part, []) if k else []
-        # deterministic orthonormal complement seed, fixed at construction
-        full = np.linalg.svd(np.column_stack(qa) if qa else np.zeros((n, 0)),
-                             full_matrices=True)[0] if qa else np.eye(n)
-        b_seed = full[:, k:]
-        b_part = np.column_stack(_orthonormalize(b_seed, qa)) if k < n else np.zeros((n, 0))
-        object.__setattr__(self, "A_part", a_part)
-        object.__setattr__(self, "B_part", b_part)
-        # the frame forward and inverse rebuild, so the center maps to exactly 0
-        l_map = self._frame_at(pts[[i - 1 for i in index_choice]])
-        object.__setattr__(self, "L_map", l_map)
-        chosen = set(index_choice)
-        rest = tuple(i for i in range(1, center.N + 1) if i not in chosen)
-        object.__setattr__(self, "_rest", rest)
-        object.__setattr__(self, "_center_agents", pts)
-        base = pts[index_choice[0] - 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            images = {i: l_map @ (pts[i - 1] - base) for i in rest}
-        if not np.isfinite(list(images.values())).all():
-            raise SizeMismatch(_OVERFLOW)
-        object.__setattr__(self, "_center_rest_image", images)
+        b_part = np.linalg.svd(a_part)[0][:, k:]
+        chosen = np.asarray(index_choice, dtype=int) - 1
+        rest = np.setdiff1d(np.arange(center.N), chosen)
+        for name, value in (("center", center), ("k", k), ("index_choice", index_choice),
+                            ("A_part", a_part), ("B_part", b_part),
+                            ("L_map", np.hstack([a_part, b_part])),
+                            ("_chosen", chosen), ("_rest", rest)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_center_coefficients", self._coefficients(center.agents))
 
-    def _frame_at(self, chosen_pts: np.ndarray) -> np.ndarray:
-        """L' = (A', B')^T for chosen agent positions (rows of chosen_pts)."""
-        diffs = (chosen_pts[1:] - chosen_pts[0]).T
-        qa = _orthonormalize(diffs, []) if self.k else []
-        b_cols = _orthonormalize(self.B_part, qa) if self.k < self.center.n else []
-        return np.vstack([diffs.T] + [c[None, :] for c in b_cols]) \
-            if b_cols else diffs.T.reshape(self.k, self.center.n)
+    def _frame(self, pts: np.ndarray) -> np.ndarray:
+        """M = [A | B] for the agent positions pts (N x n); reads chosen rows only."""
+        chosen = pts[self._chosen]
+        return np.hstack([(chosen[1:] - chosen[0]).T, self.B_part])
+
+    def _coefficients(self, pts: np.ndarray) -> np.ndarray:
+        """Coefficients of the rest agents in the frame at pts, one row each."""
+        diffs = (pts[self._rest] - pts[self._chosen[0]]).T
+        try:
+            return np.linalg.solve(self._frame(pts), diffs).T
+        except np.linalg.LinAlgError:
+            raise Degenerate("the chosen agents are affinely dependent") from None
 
     def forward(self, p: Configuration) -> np.ndarray:
         """Chart coordinates of p, flat agent-major (length nN)."""
         if (p.n, p.N) != (self.center.n, self.center.N):
             raise SizeMismatch("configuration shape differs from the chart center")
+        _check_spread(p)
         pts = p.agents
-        out = np.zeros((p.N, p.n))
-        for i in self.index_choice:
-            out[i - 1] = pts[i - 1] - self._center_agents[i - 1]
-        if self._rest:
-            l_prime = self._frame_at(pts[[i - 1 for i in self.index_choice]])
-            base = pts[self.index_choice[0] - 1]
-            for i in self._rest:
-                out[i - 1] = l_prime @ (pts[i - 1] - base) - self._center_rest_image[i]
+        out = np.empty((p.N, p.n))
+        out[self._chosen] = pts[self._chosen] - self.center.agents[self._chosen]
+        out[self._rest] = self._coefficients(pts) - self._center_coefficients
         return out.reshape(-1)
 
     def inverse(self, v: np.ndarray) -> Configuration:
@@ -300,25 +283,17 @@ class StratumChart:
         if vv.size != n * N:
             raise SizeMismatch(f"expected {n * N} chart coordinates, got {vv.size}")
         vecs = vv.reshape(N, n)
-        pts = np.zeros((N, n))
-        for i in self.index_choice:
-            pts[i - 1] = vecs[i - 1] + self._center_agents[i - 1]
-        if self._rest:
-            l_prime = self._frame_at(pts[[i - 1 for i in self.index_choice]])
-            base = pts[self.index_choice[0] - 1]
-            for i in self._rest:
-                rhs = vecs[i - 1] + self._center_rest_image[i]
-                pts[i - 1] = base + np.linalg.solve(l_prime, rhs)
+        pts = np.empty((N, n))
+        pts[self._chosen] = vecs[self._chosen] + self.center.agents[self._chosen]
+        pts[self._rest] = pts[self._chosen[0]] + \
+            (vecs[self._rest] + self._center_coefficients) @ self._frame(pts).T
         return Configuration.from_agents(pts)
 
     @property
     def forced_zero_indices(self) -> tuple[int, ...]:
         """Flat chart coordinates that vanish exactly on the rank-k stratum."""
         n, k = self.center.n, self.k
-        out = []
-        for i in self._rest:
-            out.extend(range((i - 1) * n + k, i * n))
-        return tuple(out)
+        return tuple(int(i) * n + j for i in self._rest for j in range(k, n))
 
     def __setattr__(self, name, value):
         raise AttributeError("StratumChart is immutable")

@@ -421,7 +421,6 @@ class SteerResult:
     start_index: int
     iterations: int
     no_progress: bool
-    warnings: tuple[str, ...] = ()
 
 
 class _ForwardPass(NamedTuple):
@@ -519,13 +518,10 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
     if p0.N != g.num_vertices:
         raise InconsistentSchedule(
             f"graph has {g.num_vertices} vertices, configurations have {p0.N} agents")
-    warns = []
     for name, p in (("initial", p0), ("target", p1)):
         if not larc_passes(p, g):
-            msg = (f"{name} configuration fails the rank condition on this "
-                   "graph; steering may stall")
-            warns.append(msg)
-            warnings.warn(msg, stacklevel=2)
+            warnings.warn(f"{name} configuration fails the rank condition on this "
+                          "graph; steering may stall", stacklevel=2)
 
     edges = sorted(g.edges)
     dim = segments * len(edges)
@@ -553,7 +549,7 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
     achieved = tuple(Configuration(p0.n, p0.N, x) for x in states)
     no_progress = stalled and res > opts.tolerance
     return SteerResult(ControlSchedule(grid, values), achieved, float(res), start,
-                       iters, no_progress, tuple(warns))
+                       iters, no_progress)
 
 
 def _gauss_newton(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
@@ -753,12 +749,20 @@ def _read_timed_list(text: str, item: str, key: str, base_dir, load, inline) -> 
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _inline_graph(spec) -> Digraph:
     if not (isinstance(spec, dict) and {"N", "edges"} <= set(spec)):
         raise InputFormatError(
             'segment "graph" must be a path or {"N": ..., "edges": [...]}')
+    N, edges = spec["N"], spec["edges"]
+    if not (_is_int(N) and isinstance(edges, list)
+            and all(isinstance(e, list) and all(map(_is_int, e)) for e in edges)):
+        raise InputFormatError('inline graph "N" and edge endpoints must be integers')
     try:
-        return Digraph(spec["N"], [tuple(e) for e in spec["edges"]])
+        return Digraph(N, [tuple(e) for e in edges])
     except Exception as exc:
         raise InputFormatError(f"bad inline graph: {exc}") from None
 

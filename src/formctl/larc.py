@@ -21,7 +21,7 @@ import numpy as np
 
 from .configspace import (
     Configuration,
-    _OVERFLOW,
+    _check_spread,
     _leave_one_out,
     configuration_rank,
     find_nondegenerate_simplex,
@@ -69,11 +69,7 @@ def lie_algebra_at(p: Configuration, g: Digraph) -> LarcReport:
     if p.N != g.num_vertices:
         raise SizeMismatch(
             f"graph has {g.num_vertices} vertices, configuration has {p.N} agents")
-    # p is finite, so a spread that is not has overflowed; every difference
-    # ranked below is at most a spread
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.ptp(p.agents, axis=0)).all():
-            raise SizeMismatch(_OVERFLOW)
+    _check_spread(p)
     reach = g._reach
     ranks = [0] * p.N
     for comp in g._tarjan[0]:

@@ -303,6 +303,23 @@ class TestSteerSimulateTrack:
         target = load_configuration(str(workdir / "p1.json"))
         assert np.linalg.norm(traj.final.coords - target.coords) < 1e-6
 
+    def test_steer_warning_is_one_stderr_line(self, workdir):
+        (workdir / "k4.txt").write_text(format_graph_text(Digraph.complete(4)))
+        (workdir / "line.json").write_text(json.dumps(
+            {"n": 2, "N": 4, "agents": [[0, 0], [1, 0], [2, 0], [3, 0]]}))
+        (workdir / "target.json").write_text(
+            format_configuration_json(sample_configuration(2, 4, seed=2)))
+        argv = ("-m", "formctl.cli", "steer", "--graph", "k4.txt", "--config", "line.json",
+                "--target", "target.json", "--segments", "3", "--T", "1.0")
+        warning = ("warning: initial configuration fails the rank condition on this "
+                   "graph; steering may stall\n")
+        printed = fresh_python(*argv, cwd=workdir)
+        written = fresh_python(*argv, "--out", "u.csv", cwd=workdir)
+        assert (printed.returncode, written.returncode) == (0, 0)
+        assert printed.stdout == (workdir / "u.csv").read_text()
+        assert printed.stderr == written.stderr == warning
+        assert "steering:" in written.stdout and "warning:" not in written.stdout
+
     def test_simulate_step_too_large_is_domain_error(self, workdir):
         controls, _ = self.steer_controls(workdir, 2)
         code, _, err = invoke("simulate", "--graph", workdir / "k5.txt",

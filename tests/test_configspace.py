@@ -270,6 +270,42 @@ class TestLocalChart:
             local_chart(p, 5)
 
 
+class TestChartAtAnyScale:
+    """The chart decides nothing by a threshold of its own, so it behaves
+    alike at every scale: each rank-k configuration that the rank rule
+    accepts gets a chart, and its errors are relative to the scale."""
+
+    SHAPES = ((2, 4), (2, 5), (3, 5), (3, 6), (4, 8))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-3, 1.0, 1e3, 1e9, 1e13])
+    def test_round_trip_and_slice_relative_to_scale(self, scale):
+        for n, N in self.SHAPES:
+            for k in range(n + 1):
+                for seed in range(20):
+                    unit = sample_configuration(n, N, "rank_k", k=k, seed=seed)
+                    p = Configuration(n, N, scale * unit.coords)
+                    ch = local_chart(p, k)
+                    rng = np.random.default_rng(seed)
+                    near = Configuration(
+                        n, N, p.coords + 0.02 * scale * rng.standard_normal(n * N))
+                    back = ch.inverse(ch.forward(near)).coords
+                    assert np.abs(back - near.coords).max() <= 1e-12 * scale
+                    if k == n:
+                        continue
+                    q = rank_k_near(unit, k, ch.index_choice, rng)
+                    v = ch.forward(Configuration(n, N, scale * q.coords))
+                    assert np.abs(v[list(ch.forced_zero_indices)]).max() < 1e-10 * scale
+
+    def test_coinciding_chosen_agents_are_degenerate(self):
+        p = sample_configuration(2, 4, "rank_k", k=1, seed=3)
+        ch = local_chart(p, 1)
+        pts = p.agents.copy()
+        first, second = ch.index_choice
+        pts[second - 1] = pts[first - 1]
+        with pytest.raises(Degenerate):
+            ch.forward(Configuration.from_agents(pts))
+
+
 class TestSimplexSearch:
     def test_full_set_when_minimal(self):
         p = config([[0, 0], [1, 0], [0, 1]])

@@ -838,6 +838,12 @@ class TestFileFormats:
         '[{"t": "zero", "graph": {"N": 2, "edges": []}}]',
         '[{"t": 0.0, "graph": 7}]',
         '[{"t": 0.0, "graph": {"N": 2, "edges": [[1, 1]]}}]',
+        # indices must be integers, as in configuration files
+        '[{"t": 0.0, "graph": {"N": 3.5, "edges": [[1, 2], [2, 3]]}}]',
+        '[{"t": 0.0, "graph": {"N": 3, "edges": [[1.7, 2], [2, 3]]}}]',
+        '[{"t": 0.0, "graph": {"N": 3, "edges": [[true, 3], [2, 3]]}}]',
+        '[{"t": 0.0, "graph": {"N": true, "edges": []}}]',
+        '[{"t": 0.0, "graph": {"N": 3, "edges": [[1, 2], "2 3"]}}]',
     ])
     def test_graph_schedule_rejects(self, bad):
         with pytest.raises(InputFormatError):
