@@ -65,11 +65,11 @@ __all__ = [
 RANK_TOL = 1e-9
 
 
-def _rank_of(s: np.ndarray) -> int:
-    """Count of the descending singular values s above RANK_TOL times s[0]."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0]))
+def _rank_of(s: np.ndarray):
+    """Count of the descending singular values above RANK_TOL times the largest:
+    an int for one matrix's s, an array for a stack's (one row each)."""
+    above = s > RANK_TOL * s[..., :1]
+    return int(np.count_nonzero(above)) if s.ndim == 1 else above.sum(axis=-1)
 
 
 def numeric_rank(mat: np.ndarray) -> int:
@@ -338,14 +338,51 @@ def find_nondegenerate_simplex(p: Configuration) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _leave_one_out(rows: np.ndarray, x: np.ndarray, drops) -> tuple[int, ...] | None:
-    """Kept rows (1-based) of the first face, dropping each of drops in turn,
-    whose differences from x, (rows[keep] - x).T, have rank n; else None."""
-    for drop in drops:
-        keep = [k for k in range(len(rows)) if k != drop - 1]
-        if numeric_rank((rows[keep] - x).T) == x.size:
-            return tuple(k + 1 for k in keep)
-    return None
+def _stacked_rank(mats: np.ndarray) -> np.ndarray:
+    """numeric_rank of each matrix of a stack (k, r, c), from one SVD call.
+
+    Non-finite input is refused before LAPACK sees it; -1 marks a matrix
+    whose largest singular value overflows, for the caller to refuse.
+    """
+    if not np.isfinite(mats).all():
+        raise SizeMismatch(_OVERFLOW)
+    s = np.linalg.svd(mats, compute_uv=False)
+    return np.where(np.isinf(s[:, 0]), -1, _rank_of(s))
+
+
+def _face(drop, n: int) -> np.ndarray:
+    """Positions (0-based) of the n simplex agents kept when dropping position
+    drop (1-based); one row per drop for an array of drops."""
+    c = np.arange(n)
+    return c + (c >= np.asarray(drop)[..., None] - 1)
+
+
+def _first_faces(simplex: np.ndarray, pts: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Dropped position (1-based) of the simplex face each point takes.
+
+    simplex holds the n+1 simplex agents and pts the points, one per row. A
+    face serves x when its differences from x, (simplex[kept] - x).T, have
+    rank n. A point with own > 0 is the simplex agent at that position and
+    tries only the face opposite itself; every other point tries the drops
+    in ascending order and takes the first face that serves it. Round d
+    ranks, in one stacked SVD, the d-th face of every point still undecided
+    (and in round 1 the simplex agents' own faces). A point gets 0 when no
+    face serves it and -1 when a face it tries overflows before one serves
+    it (``_stacked_rank``).
+    """
+    n = simplex.shape[1]
+    drop = np.zeros(len(pts), dtype=int)
+    with np.errstate(over="ignore"):  # _stacked_rank refuses what overflowed
+        diffs = simplex[None] - pts[:, None]
+    todo = np.arange(len(pts))
+    for d in range(1, n + 2):
+        tried = np.where(own[todo] > 0, own[todo], d)
+        ranks = _stacked_rank(diffs[todo[:, None], _face(tried, n)].transpose(0, 2, 1))
+        drop[todo] = np.where(ranks == n, tried, np.minimum(ranks, 0))
+        todo = todo[(drop[todo] == 0) & (own[todo] == 0)]
+        if not todo.size:
+            break
+    return drop
 
 
 def extend_simplex_with_point(simplex: Configuration, x) -> tuple[int, ...]:
@@ -362,10 +399,14 @@ def extend_simplex_with_point(simplex: Configuration, x) -> tuple[int, ...]:
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.size != n:
         raise SizeMismatch(f"point must lie in R^{n}, got length {point.size}")
-    kept = _leave_one_out(simplex.agents, point, range(1, n + 2))
-    if kept is None:
+    if not np.isfinite(point).all():
+        raise SizeMismatch("coordinates must be finite")
+    drop = int(_first_faces(simplex.agents, point[None], np.zeros(1, dtype=int))[0])
+    if drop < 0:
+        raise SizeMismatch(_OVERFLOW)
+    if drop == 0:
         raise SimplexDegenerate("no leave-one-out choice is non-degenerate")
-    return kept
+    return tuple(k for k in range(1, n + 2) if k != drop)
 
 
 # -- affine subspaces ------------------------------------------------------

@@ -8,9 +8,10 @@ agent i's coordinate slots alone, the span dimension decomposes into a sum
 of per-agent ranks of the differences x_j - x_i. An agent i of strong
 component C reaches exactly R(C), the agents C reaches, C included, so its
 rank is dim aff R(C): one rank per component, read from the graph's cached
-reach sets, never from the closure's edges. The witness ranks per agent:
-every agent takes the first face of its simplex whose differences from the
-agent have rank n.
+reach sets, never from the closure's edges. The witness ranks faces in
+batches, at most one stacked SVD per maximal component and drop position;
+the rule is unchanged: every agent takes the first face of its simplex
+whose differences from the agent have rank n.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configspace import (
+    _OVERFLOW,
     Configuration,
     _check_spread,
-    _leave_one_out,
+    _face,
+    _first_faces,
     configuration_rank,
     find_nondegenerate_simplex,
     in_controllable_set,
@@ -127,14 +130,23 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
     ascending order. All generating edges lie in the transitive closure, so
     the result spans a subspace of the control span; each agent's n fields
     lie in its own slots with rank n, as ``lie_algebra_at`` counts it.
+
+    The faces are ranked in batches, at most one stacked SVD per maximal
+    component and drop position (``configspace._first_faces``); each agent
+    takes the face it would take if its faces were ranked one at a time.
+    The fields come simplex agents first, by component, then the other
+    agents in ascending label, and a refusal names the first agent in that
+    order that no face serves. Raises SizeMismatch when some coordinate's
+    spread over the agents overflows.
     """
-    n = p.n
+    n, N = p.n, p.N
     scd = coarse_scd(g)
     verdict = structural_verdict(g, n)
     if verdict.kind is not StructuralKind.GENERICALLY_CONTROLLABLE:
         raise StructuralFailure(
             f"graph verdict is {verdict.kind.value}; offending maximal components "
             f"{list(verdict.offending_components)}")
+    _check_spread(p)
     membership = in_controllable_set(p, scd)
     if not membership:
         failing = [w for w, r in membership.component_ranks if r != n]
@@ -142,36 +154,51 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
             f"maximal components {failing} are degenerate at this configuration")
 
     pts = p.agents
-    fields = np.zeros((n * p.N, n * p.N))   # one row per field, n rows per agent
-    labels: list[tuple[str, int, tuple[int, int]]] = []
-
-    def attach(kind: str, w: int, i: int, simplex: tuple[int, ...], drops) -> None:
-        kept = _leave_one_out(pts[[a - 1 for a in simplex]], pts[i - 1], drops)
-        if kept is None:
-            raise StructuralFailure(f"witness fields of agent {i} are numerically dependent")
-        targets = [simplex[l - 1] for l in kept]
-        rows = slice(len(labels), len(labels) + n)
-        fields[rows, np.arange(n) * p.N + (i - 1)] = pts[[j - 1 for j in targets]] - pts[i - 1]
-        labels.extend((kind, w, (i, j)) for j in targets)
-
     maximal = sorted(scd.maximal_set)
-    simplices: dict[int, tuple[int, ...]] = {}
-    for w in maximal:
-        comp = scd.components[w - 1]
-        local = find_nondegenerate_simplex(p.subconfiguration(comp))
-        simplex = simplices[w] = tuple(comp[l - 1] for l in local)
-        for k, a in enumerate(simplex, start=1):
-            attach("simplex", w, a, simplex, [k])
-
-    for j in sorted(set(range(1, p.N + 1)).difference(*simplices.values())):
+    home = np.zeros(N + 1, dtype=int)   # by agent label: the component it attaches to
+    for j in range(1, N + 1):
         w = scd.component_of(j)
         if w not in scd.maximal_set:
             # smallest-label maximal component that j reaches
             w = next(m for m in maximal if scd.components[m - 1][0] in g._reach[j - 1])
-        attach("attachment", w, j, simplices[w], range(1, n + 2))
+        home[j] = w
+    drop = np.zeros(N + 1, dtype=int)
+    targets = np.zeros((N + 1, n), dtype=int)
+    heads: list[int] = []               # simplex agents, by component
+    for w in maximal:
+        comp = scd.components[w - 1]
+        simplex = [comp[l - 1] for l in find_nondegenerate_simplex(p.subconfiguration(comp))]
+        agents = np.array(simplex + [j for j in np.flatnonzero(home == w).tolist()
+                                     if j not in simplex])
+        own = np.zeros(agents.size, dtype=int)
+        own[:n + 1] = np.arange(1, n + 2)
+        drop[agents] = _first_faces(pts[agents[:n + 1] - 1], pts[agents - 1], own)
+        _refuse_first(simplex, drop[simplex])
+        targets[agents] = agents[_face(drop[agents], n)]
+        heads += simplex
+    # simplex agents by component, then every other agent in ascending label
+    order = np.array(heads + sorted(set(range(1, N + 1)).difference(heads)))
+    _refuse_first(order, drop[order])
+
+    fields = np.zeros((n * N, n * N))   # one row per field, n rows per agent
+    fields[np.arange(n * N).reshape(N, n, 1), (np.arange(n) * N + order[:, None] - 1)[:, None]] \
+        = pts[targets[order] - 1] - pts[order - 1][:, None]
     fields.setflags(write=False)
+    labels = [("simplex" if r < len(heads) else "attachment", w, (i, j))
+              for r, (w, i, ts) in enumerate(zip(home[order].tolist(), order.tolist(),
+                                                 targets[order].tolist())) for j in ts]
     vectors = tuple(WitnessVector(*label, row) for label, row in zip(labels, fields))
-    return WitnessBasis(n, p.N, vectors, fields.T)
+    return WitnessBasis(n, N, vectors, fields.T)
+
+
+def _refuse_first(agents, drop: np.ndarray) -> None:
+    """Refuse for the first of the agents whose drop (``_first_faces``) failed."""
+    failed = np.flatnonzero(drop <= 0)
+    if failed.size:
+        if drop[failed[0]] < 0:
+            raise SizeMismatch(_OVERFLOW)
+        raise StructuralFailure(
+            f"witness fields of agent {agents[failed[0]]} are numerically dependent")
 
 
 # -- serialization ---------------------------------------------------------

@@ -14,15 +14,31 @@ from typing import Mapping, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from formctl.configspace import AffineSubspace, Configuration, _rank_of, numeric_rank
-from formctl.digraph import Digraph, coarse_scd, transitive_closure
+from formctl.configspace import (
+    AffineSubspace,
+    Configuration,
+    _rank_of,
+    find_nondegenerate_simplex,
+    in_controllable_set,
+    numeric_rank,
+)
+from formctl.digraph import (
+    Digraph,
+    StructuralKind,
+    coarse_scd,
+    structural_verdict,
+    transitive_closure,
+)
 from formctl.dynamics import Trajectory, expm
 from formctl.errors import (
     DimensionMismatch,
     EmptyInput,
     InvalidIndices,
+    NotInControllableSet,
     SizeMismatch,
+    StructuralFailure,
 )
+from formctl.larc import WitnessBasis, WitnessVector
 from formctl.liealg import EdgeGenerator, ZeroRowSumMatrix
 
 
@@ -289,6 +305,65 @@ def larc_per_agent(p, g: Digraph) -> tuple[tuple[int, ...], int]:
     ranks = tuple(numeric_rank((pts[[j - 1 for j in closed.adjacency[i - 1]]] - pts[i - 1]).T)
                   for i in range(1, p.N + 1))
     return ranks, len(closed.edges)
+
+
+def witness_per_agent(p: Configuration, g: Digraph):
+    """The witness basis ranked one agent and one face at a time.
+
+    Each agent tries the faces of its simplex in turn, one ``numeric_rank``
+    per face, and the first failing agent is refused as soon as it is met.
+    """
+    n = p.n
+    scd = coarse_scd(g)
+    verdict = structural_verdict(g, n)
+    if verdict.kind is not StructuralKind.GENERICALLY_CONTROLLABLE:
+        raise StructuralFailure(
+            f"graph verdict is {verdict.kind.value}; offending maximal components "
+            f"{list(verdict.offending_components)}")
+    membership = in_controllable_set(p, scd)
+    if not membership:
+        failing = [w for w, r in membership.component_ranks if r != n]
+        raise NotInControllableSet(
+            f"maximal components {failing} are degenerate at this configuration")
+
+    pts = p.agents
+    fields = np.zeros((n * p.N, n * p.N))   # one row per field, n rows per agent
+    labels: list[tuple[str, int, tuple[int, int]]] = []
+
+    def leave_one_out(rows: np.ndarray, x: np.ndarray, drops) -> tuple[int, ...] | None:
+        for drop in drops:
+            keep = [k for k in range(len(rows)) if k != drop - 1]
+            if numeric_rank((rows[keep] - x).T) == x.size:
+                return tuple(k + 1 for k in keep)
+        return None
+
+    def attach(kind: str, w: int, i: int, simplex: tuple[int, ...], drops) -> None:
+        kept = leave_one_out(pts[[a - 1 for a in simplex]], pts[i - 1], drops)
+        if kept is None:
+            raise StructuralFailure(f"witness fields of agent {i} are numerically dependent")
+        targets = [simplex[l - 1] for l in kept]
+        rows = slice(len(labels), len(labels) + n)
+        fields[rows, np.arange(n) * p.N + (i - 1)] = pts[[j - 1 for j in targets]] - pts[i - 1]
+        labels.extend((kind, w, (i, j)) for j in targets)
+
+    maximal = sorted(scd.maximal_set)
+    simplices: dict[int, tuple[int, ...]] = {}
+    for w in maximal:
+        comp = scd.components[w - 1]
+        local = find_nondegenerate_simplex(p.subconfiguration(comp))
+        simplex = simplices[w] = tuple(comp[l - 1] for l in local)
+        for k, a in enumerate(simplex, start=1):
+            attach("simplex", w, a, simplex, [k])
+
+    for j in sorted(set(range(1, p.N + 1)).difference(*simplices.values())):
+        w = scd.component_of(j)
+        if w not in scd.maximal_set:
+            # smallest-label maximal component that j reaches
+            w = next(m for m in maximal if scd.components[m - 1][0] in g._reach[j - 1])
+        attach("attachment", w, j, simplices[w], range(1, n + 2))
+    fields.setflags(write=False)
+    vectors = tuple(WitnessVector(*label, row) for label, row in zip(labels, fields))
+    return WitnessBasis(n, p.N, vectors, fields.T)
 
 
 def sink_component_graph(rng: random.Random, n_comps: int, comp_sizes: list[int]) -> Digraph:

@@ -179,6 +179,28 @@ class TestWitness:
         assert (code, err) == (0, "")
         assert "witness rank 10 / 10: PASS" in out
 
+    def test_overflowing_differences_are_one_error_line(self, workdir):
+        # finite agents; agent 5's differences from the 4-cycle overflow
+        (workdir / "ovf.txt").write_text("N 5\n1 2\n2 3\n3 4\n4 1\n1 3\n5 1\n")
+        (workdir / "ovf.json").write_text(json.dumps(
+            {"n": 2, "N": 5, "agents": [[-1e308, 0], [-9e307, 1e307], [-8e307, -1e307],
+                                        [-7e307, 5e306], [1e308, 0]]}))
+        proc = fresh_python("-m", "formctl.cli", "witness", "--graph", "ovf.txt",
+                            "--config", "ovf.json", cwd=workdir)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {_OVERFLOW}\n"
+
+    def test_witness_leaves_numpy_ma_unloaded(self, workdir):
+        # numpy loads numpy.ma lazily (about 20 ms) for some set routines
+        g, p = two_k4_sinks()
+        proc = fresh_python("-c", "import sys; from formctl.larc import construct_witness_basis; "
+                            "from formctl.configspace import Configuration; "
+                            "from formctl.digraph import Digraph; "
+                            f"construct_witness_basis(Configuration.from_agents({p.agents.tolist()}), "
+                            f"Digraph({g.num_vertices}, {sorted(g.edges)})); "
+                            "print('numpy.ma' in sys.modules)", cwd=workdir)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_refuses_small_components(self, workdir):
         p = workdir / "p3.json"
         p.write_text(format_configuration_json(sample_configuration(2, 3, seed=1)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formctl.configspace import (
+    _OVERFLOW,
     AffineSubspace,
     Configuration,
+    _stacked_rank,
     affine_hull,
     component_sign,
     configuration_rank,
@@ -141,6 +144,23 @@ class TestRanks:
         inf = np.inf
         with pytest.raises(SizeMismatch, match="must be finite"):
             numeric_rank(np.array([[inf, -0.77, 0.46], [0.85, 0.94, inf], [0.73, 0.96, inf]]))
+        assert capfd.readouterr() == ("", "")
+
+    def test_stacked_rank_agrees_with_numeric_rank(self, capfd):
+        rng = np.random.default_rng(4)
+        mats = rng.standard_normal((6, 3, 3))
+        mats[1, :, 2] = mats[1, :, 0]                 # rank 2
+        mats[2] = 0.0                                 # rank 0
+        mats[3] *= 1e-300
+        mats[4, :, 1:] = mats[4, :, :1] * [2.0, 1e-10]  # rank 1 at the margin
+        assert _stacked_rank(mats).tolist() == [numeric_rank(m) for m in mats]
+        # numeric_rank's guards: the largest singular value overflows, or an
+        # entry is not finite (refused before LAPACK can print)
+        assert _stacked_rank(np.array([[[1.5e308], [1.5e308]], [[1.0], [0.0]]])).tolist() \
+            == [-1, 1]
+        with pytest.raises(SizeMismatch) as exc:
+            _stacked_rank(np.array([[[np.inf, 0.0], [1.0, 1.0]]]))
+        assert str(exc.value) == _OVERFLOW
         assert capfd.readouterr() == ("", "")
 
     def test_numeric_rank_empty(self):
@@ -379,6 +399,21 @@ class TestSimplexExtension:
             extend_simplex_with_point(config([[0, 0], [1, 0]]), [0, 1])
         with pytest.raises(SizeMismatch):
             extend_simplex_with_point(self.tri, [0, 1, 2])
+
+    def test_overflowing_differences_are_named_without_a_warning(self):
+        simplex = config([[-1e308, 0], [-9e307, 1e307], [-8e307, -1e307]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizeMismatch) as exc:
+                extend_simplex_with_point(simplex, [1e308, 0])
+        assert str(exc.value) == _OVERFLOW
+
+    def test_only_the_faces_tried_must_be_finite(self):
+        # x - agent 1 overflows, but the first face, without agent 1, serves x
+        simplex = config([[-1e308, 0], [0, 0], [0, 1e307]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert extend_simplex_with_point(simplex, [1e308, 0]) == (2, 3)
 
     @given(st.integers(2, 3), st.integers(0, 300))
     @settings(max_examples=80, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from formctl import configspace, digraph
 from formctl.configspace import (
+    _OVERFLOW,
     Configuration,
     configuration_rank,
     in_controllable_set,
@@ -19,6 +21,7 @@ from formctl.configspace import (
 )
 from formctl.digraph import Digraph, coarse_scd, structural_verdict, transitive_closure
 from formctl.errors import (
+    FormctlError,
     NotInControllableSet,
     NotWeaklyConnected,
     SizeMismatch,
@@ -42,6 +45,7 @@ from helpers import (
     sink_component_graph,
     stacked_field_rank,
     two_k4_sinks,
+    witness_per_agent,
 )
 
 
@@ -308,18 +312,29 @@ class TestWitnessBasis:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-9])
     def test_ranks_only_per_agent_blocks(self, monkeypatch, scale):
-        # 2 square ranks in the simplex searches, then one certificate per agent
-        shapes = []
-        numeric_rank = configspace.numeric_rank
+        # 2 square ranks in the simplex searches; the 9 agents' faces are
+        # ranked as stacks of n x n blocks, at most one stack per maximal
+        # component and drop position
+        shapes, stacks = [], []
+        numeric_rank, stacked_rank = configspace.numeric_rank, configspace._stacked_rank
 
         def recorded(mat):
             shapes.append(np.shape(mat))
             return numeric_rank(mat)
 
+        def recorded_stack(mats):
+            stacks.append(np.shape(mats))
+            return stacked_rank(mats)
+
         monkeypatch.setattr(configspace, "numeric_rank", recorded)
+        monkeypatch.setattr(configspace, "_stacked_rank", recorded_stack)
         g, p = two_k4_sinks(scale)
         construct_witness_basis(p, g)
-        assert shapes.count((2, 2)) == 11
+        assert shapes.count((2, 2)) == 2
+        assert all(len(shape) == 2 and shape[0] == 2 for shape in shapes)
+        assert all(shape[1:] == (2, 2) for shape in stacks)
+        assert sum(shape[0] for shape in stacks) == 9
+        assert len(stacks) <= 2 * 3
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -331,6 +346,84 @@ class TestWitnessBasis:
         nN = 2 * g.num_vertices
         assert len(wb.vectors) == nN
         assert np.linalg.matrix_rank(wb.matrix) == nN
+
+
+def witness_outcome(build, p, g):
+    """Everything a witness build shows: labels, matrix bytes, or its refusal."""
+    try:
+        wb = build(p, g)
+    except FormctlError as exc:
+        return type(exc), str(exc)
+    return (repr(wb), format_witness_csv(wb),
+            [(v.kind, v.component, v.edge) for v in wb.vectors], wb.matrix.tobytes())
+
+
+@st.composite
+def witness_instances(draw):
+    """Sink-component graphs with generic, rank-k, collapsed or one-far-agent
+    configurations, at scale 1, 1e-9 or 1e9."""
+    n = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    sizes = draw(st.lists(st.sampled_from([n + 1, n + 2, n + 2, n + 3]), min_size=1, max_size=2))
+    g = sink_component_graph(rng, draw(st.integers(1, 4)), sizes)
+    N, seed = g.num_vertices, draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["generic", "rank_k", "collapsed", "far"]))
+    if kind == "rank_k":
+        k = draw(st.integers(0, min(n, N - 1)))
+        agents = sample_configuration(n, N, "rank_k", k=k, seed=seed).agents.copy()
+    else:
+        agents = sample_configuration(n, N, seed=seed).agents.copy()
+    if kind == "collapsed":
+        onto = draw(st.integers(0, N - 1))
+        agents[draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N))] = agents[onto]
+    if kind == "far":   # faces seen from far away approach the rank margin
+        agents[draw(st.integers(0, N - 1))] *= 10.0 ** draw(st.integers(4, 12))
+    scale = draw(st.sampled_from([1.0, 1e-9, 1e9]))
+    return g, Configuration.from_agents(agents * scale)
+
+
+class TestWitnessMatchesPerAgentRanks:
+    """The batched witness against the per-agent oracle, bit for bit."""
+
+    @given(witness_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_random_instances(self, instance):
+        g, p = instance
+        assert witness_outcome(construct_witness_basis, p, g) == \
+            witness_outcome(witness_per_agent, p, g)
+
+    @pytest.mark.parametrize("case", ["far_source_k4", "two_k4_sinks"])
+    def test_rank_margin_examples(self, case):
+        g, p = far_source_k4() if case == "far_source_k4" else two_k4_sinks()
+        assert witness_outcome(construct_witness_basis, p, g) == \
+            witness_outcome(witness_per_agent, p, g)
+
+    @pytest.mark.parametrize("far, huge", [(5, 6), (6, 5)])
+    def test_first_refusal_in_label_order(self, far, huge):
+        # a K4 sink fed by an agent too far for any face to reach rank 2
+        # and by one whose faces' norms overflow; the smaller label decides
+        agents = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], None, None]
+        agents[far - 1], agents[huge - 1] = [1e12, 1e12], [1.7e308, 1.7e308]
+        g = Digraph(6, [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
+                    + [(5, 1), (6, 1)])
+        p = Configuration.from_agents(agents)
+        got = witness_outcome(construct_witness_basis, p, g)
+        assert got == witness_outcome(witness_per_agent, p, g)
+        assert got[0] is (StructuralFailure if far < huge else SizeMismatch)
+
+
+class TestWitnessOverflow:
+    # finite agents whose differences overflow: agent 5 against the 4-cycle
+    AGENTS = [[-1e308, 0], [-9e307, 1e307], [-8e307, -1e307], [-7e307, 5e306], [1e308, 0]]
+    EDGES = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (5, 1)]
+
+    def test_overflowing_differences_are_named_without_a_warning(self):
+        p = Configuration.from_agents(self.AGENTS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizeMismatch) as exc:
+                construct_witness_basis(p, Digraph(5, self.EDGES))
+        assert str(exc.value) == _OVERFLOW
 
 
 class TestSerialization:
