@@ -1,7 +1,9 @@
 """Directed graphs, coarse strong component decompositions, and closures.
 
 Vertices are labeled 1..N throughout, matching the on-disk graph format.
-Everything here is exact combinatorics; no floating point.
+Everything here is exact combinatorics; no floating point. Each graph has
+one condensation, an ``ScdReport`` from one Tarjan pass, and every fact of
+reachability is read from its reach sets.
 """
 
 from __future__ import annotations
@@ -84,53 +86,17 @@ class Digraph:
         return tuple(tuple(sorted(nbrs)) for nbrs in out)
 
     @_cached
-    def _tarjan(self) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        """The one graph search: strong components in emission order, weak connectivity."""
-        return _tarjan_components(self)
-
-    @_cached
-    def _reach(self) -> tuple[tuple[int, ...], ...]:
-        """Entry v - 1: the vertices v's strong component reaches, its own
-        included. The vertices of one component share one tuple."""
-        comps, _ = self._tarjan
-        owner = [0] * (self.num_vertices + 1)
-        for k, comp in enumerate(comps):
-            for v in comp:
-                owner[v] = k
-        # reverse topological order: every successor's reach is final when read
-        masks: list[int] = []               # bitmask over component indices
-        reach: list[tuple[int, ...]] = [()] * self.num_vertices
-        for k, comp in enumerate(comps):
-            mask = 1 << k
-            for i in comp:
-                for j in self.adjacency[i - 1]:
-                    c = owner[j]
-                    if c != k:
-                        mask |= masks[c]
-            masks.append(mask)
-            reached: list[int] = []
-            while mask:
-                low = mask & -mask
-                reached.extend(comps[low.bit_length() - 1])
-                mask ^= low
-            shared = tuple(reached)
-            for v in comp:
-                reach[v - 1] = shared
-        return tuple(reach)
-
-    @_cached
     def _closure(self) -> "Digraph":
+        scd = self._scd
+        labelled = zip(scd.components, scd.reach)
         # j != i drops the vertex itself, whether or not it lies on a cycle
-        return Digraph(self.num_vertices, [(i, j) for i, reached in enumerate(self._reach, 1)
-                                           for j in reached if j != i])
+        return Digraph(self.num_vertices, [(i, j) for comp, reached in labelled
+                                           for i in comp for j in reached if j != i])
 
     @_cached
-    def _scd(self) -> "ScdReport | None":
-        """The coarse decomposition, or None when Tarjan's pass finds g not weakly connected."""
-        comps, connected = self._tarjan
-        if not connected:
-            return None
-        return ScdReport(self.num_vertices, self.edges, tuple(sorted(comps)))
+    def _scd(self) -> "ScdReport":
+        """The one condensation, from the one Tarjan pass, weakly connected or not."""
+        return ScdReport(self.adjacency, *_tarjan_components(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -225,28 +191,34 @@ def _tarjan_components(g: Digraph) -> tuple[tuple[tuple[int, ...], ...], bool]:
 
 
 class ScdReport:
-    """Coarse strong component decomposition of a weakly connected digraph.
+    """The coarse strong component decomposition, the one condensation of a digraph.
 
-    Components are labeled 1..q in order of their smallest vertex. ``skeleton``
-    is the acyclic digraph of inter-component flows; ``maximal_set`` holds the
-    skeleton vertices with no outgoing edges. One report is cached per graph;
-    it keeps the graph's vertex count and edge set rather than the graph, so
-    the cache forms no reference cycle.
+    Components are labeled 1..q in order of their smallest vertex, each a
+    tuple of its vertices ascending. ``reach[label - 1]`` holds the vertices
+    R(C) that component C reaches, C included, ascending; ``maximal_set``
+    (the components with R(C) = C), the transitive closure and the LARC
+    ranks are read from it. The acyclic ``skeleton`` is built only on request.
+    One report is cached per graph, weakly connected or not (``coarse_scd``
+    refuses one that is not); it keeps the adjacency rather than the graph,
+    so the cache forms no reference cycle.
     """
 
-    def __init__(self, num_vertices: int, edges: frozenset[tuple[int, int]],
-                 components: tuple[tuple[int, ...], ...]):
-        self.num_vertices = num_vertices
-        self._edges = edges
-        self.components = components
+    def __init__(self, adjacency: tuple[tuple[int, ...], ...],
+                 emitted: tuple[tuple[int, ...], ...], weakly_connected: bool):
+        self.num_vertices = len(adjacency)
+        self.components = tuple(sorted(emitted))
+        self._adjacency = adjacency
+        self._emitted = emitted             # Tarjan's reverse topological order
+        self._weakly_connected = weakly_connected
 
     @_cached
     def component_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.components)
 
     @_cached
-    def _component_of(self) -> dict[int, int]:
-        owner: dict[int, int] = {}
+    def _owner(self) -> list[int]:
+        """Entry v: the label of vertex v's component; entry 0 is unused."""
+        owner = [0] * (self.num_vertices + 1)
         for label, comp in enumerate(self.components, start=1):
             for v in comp:
                 owner[v] = label
@@ -254,22 +226,44 @@ class ScdReport:
 
     def component_of(self, vertex: int) -> int:
         """1-based label of the component containing ``vertex``."""
-        return self._component_of[vertex]
+        if not 1 <= vertex <= self.num_vertices:
+            raise InvalidIndices(f"vertex {vertex} out of range 1..{self.num_vertices}")
+        return self._owner[vertex]
+
+    @_cached
+    def reach(self) -> tuple[tuple[int, ...], ...]:
+        """Per label, the vertices R(C) its component C reaches, C included, ascending."""
+        owner, comps = self._owner, self.components
+        masks = [0] * (len(comps) + 1)      # masks[k]: bit l - 1 for each label l that k reaches
+        # Tarjan emits a component after every one it reaches, so a mask is final when read
+        for comp in self._emitted:
+            k = owner[comp[0]]
+            mask = 1 << (k - 1)
+            for i in comp:
+                for j in self._adjacency[i - 1]:
+                    mask |= masks[owner[j]]
+            masks[k] = mask
+        reach = []
+        for mask in masks[1:]:
+            reached: list[int] = []
+            while mask:
+                low = mask & -mask
+                reached.extend(comps[low.bit_length() - 1])
+                mask ^= low
+            reach.append(tuple(sorted(reached)))
+        return tuple(reach)
 
     @_cached
     def skeleton(self) -> Digraph:
-        owner = self._component_of
-        edges = set()
-        for i, j in self._edges:
-            ci, cj = owner[i], owner[j]
-            if ci != cj:
-                edges.add((ci, cj))
-        return Digraph(len(self.components), edges)
+        owner = self._owner
+        return Digraph(len(self.components), {(owner[i], owner[j])
+                                              for i, nbrs in enumerate(self._adjacency, 1)
+                                              for j in nbrs if owner[i] != owner[j]})
 
     @_cached
     def maximal_set(self) -> frozenset[int]:
-        sources = {i for i, _ in self.skeleton.edges}
-        return frozenset(w for w in range(1, len(self.components) + 1) if w not in sources)
+        return frozenset(w for w, (comp, reached) in enumerate(zip(self.components, self.reach), 1)
+                         if len(reached) == len(comp))
 
     def __repr__(self) -> str:
         return f"ScdReport(components={self.components})"
@@ -287,7 +281,7 @@ def coarse_scd(g: Digraph) -> ScdReport:
     that pass leaves more than one weak component.
     """
     report = g._scd
-    if report is None:
+    if not report._weakly_connected:
         raise NotWeaklyConnected(f"graph on {g.num_vertices} vertices is not weakly connected")
     return report
 

@@ -75,8 +75,8 @@ class GraphSchedule:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise InconsistentSchedule(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise InconsistentSchedule(f"horizon must be positive and finite, got {self.horizon}")
         if not self.segments:
             raise InconsistentSchedule("schedule needs at least one segment")
         starts = [t for t, _ in self.segments]
@@ -375,8 +375,8 @@ def simulate(schedule: GraphSchedule, controls: ControlSchedule,
         raise InconsistentSchedule(
             f"schedule is over {schedule.num_vertices} vertices, "
             f"configuration has {p0.N} agents")
-    if dt <= 0:
-        raise StepTooLarge(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise StepTooLarge(f"dt must be positive and finite, got {dt}")
     # the validated grid holds every switch and both ends, to within _TIME_EPS
     controls.validate_against(schedule)
     min_gap = min(b - a for a, b in zip(controls.grid, controls.grid[1:]))
@@ -509,8 +509,10 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
     does, ties to the earlier start. A stalled start (improvement below
     1e-14 with the residual still above tolerance) is reported, not raised.
     """
-    if T <= 0:
-        raise NegativeDuration(f"horizon must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise NegativeDuration(f"horizon must be positive and finite, got {T}")
+    if not 0 < opts.tolerance < math.inf:
+        raise InconsistentSchedule(f"tolerance must be positive and finite, got {opts.tolerance}")
     if segments < 2:
         raise InconsistentSchedule(f"steering needs at least 2 segments, got {segments}")
     if (p0.n, p0.N) != (p1.n, p1.N):
@@ -652,8 +654,8 @@ def track_path(schedule: GraphSchedule,
     trajectory is sampled at the control breakpoints, with the states each
     leg's steering reached there, so no flow is computed twice.
     """
-    if epsilon <= 0:
-        raise InconsistentSchedule(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise InconsistentSchedule(f"epsilon must be positive and finite, got {epsilon}")
     wps = list(waypoints)
     if len(wps) < 2:
         raise InconsistentSchedule("tracking needs at least two waypoints")
@@ -812,10 +814,12 @@ def parse_control_schedule_csv(text: str) -> ControlSchedule:
         if len(parts) != 5:
             raise InputFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            rows.append((float(parts[0]), float(parts[1]),
-                         int(parts[2]), int(parts[3]), float(parts[4])))
+            row = (float(parts[0]), float(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]))
         except ValueError:
             raise InputFormatError(f"line {lineno}: bad field in {raw!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise InputFormatError(f"line {lineno}: fields must be finite, got {raw!r}")
+        rows.append(row)
     if not rows:
         raise InputFormatError("empty control schedule")
     intervals: dict[tuple[float, float], dict[tuple[int, int], float]] = {}

@@ -7,11 +7,11 @@ of the interaction graph, and because the field of edge i->j is supported on
 agent i's coordinate slots alone, the span dimension decomposes into a sum
 of per-agent ranks of the differences x_j - x_i. An agent i of strong
 component C reaches exactly R(C), the agents C reaches, C included, so its
-rank is dim aff R(C): one rank per component, read from the graph's cached
-reach sets, never from the closure's edges. The witness ranks faces in
-batches, at most one stacked SVD per maximal component and drop position;
-the rule is unchanged: every agent takes the first face of its simplex
-whose differences from the agent have rank n.
+rank is dim aff R(C): one rank per labelled component, read from the
+condensation's ``ScdReport.reach``, never from the closure's edges. The
+witness ranks faces in batches, at most one stacked SVD per maximal
+component and drop position; the rule is unchanged: every agent takes the
+first face of its simplex whose differences from the agent have rank n.
 """
 
 from __future__ import annotations
@@ -73,14 +73,15 @@ def lie_algebra_at(p: Configuration, g: Digraph) -> LarcReport:
         raise SizeMismatch(
             f"graph has {g.num_vertices} vertices, configuration has {p.N} agents")
     _check_spread(p)
-    reach = g._reach
+    scd = g._scd   # the condensation; coarse_scd would refuse a graph not weakly connected
     ranks = [0] * p.N
-    for comp in g._tarjan[0]:
-        rank = configuration_rank(p, reach[comp[0] - 1])
+    closure_edges = 0
+    for comp, reached in zip(scd.components, scd.reach):
+        rank = configuration_rank(p, reached)
         for i in comp:
             ranks[i - 1] = rank
-    return LarcReport(sum(ranks), p.n * p.N, tuple(ranks),
-                      sum(len(reached) - 1 for reached in reach))
+        closure_edges += len(comp) * (len(reached) - 1)
+    return LarcReport(sum(ranks), p.n * p.N, tuple(ranks), closure_edges)
 
 
 def larc_passes(p: Configuration, g: Digraph) -> bool:
@@ -156,12 +157,11 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
     pts = p.agents
     maximal = sorted(scd.maximal_set)
     home = np.zeros(N + 1, dtype=int)   # by agent label: the component it attaches to
-    for j in range(1, N + 1):
-        w = scd.component_of(j)
-        if w not in scd.maximal_set:
-            # smallest-label maximal component that j reaches
-            w = next(m for m in maximal if scd.components[m - 1][0] in g._reach[j - 1])
-        home[j] = w
+    for comp, reached in zip(scd.components, scd.reach):
+        # the smallest-label maximal component reached holds the smallest such
+        # vertex; a maximal component reaches only itself
+        home[list(comp)] = next(w for w in map(scd.component_of, reached)
+                                if w in scd.maximal_set)
     drop = np.zeros(N + 1, dtype=int)
     targets = np.zeros((N + 1, n), dtype=int)
     heads: list[int] = []               # simplex agents, by component

@@ -24,6 +24,7 @@ from formctl.configspace import (
 )
 from formctl.digraph import (
     Digraph,
+    ScdReport,
     StructuralKind,
     coarse_scd,
     structural_verdict,
@@ -193,6 +194,12 @@ def verify_scd_closure_commutation(g: Digraph) -> bool:
     return scd_closed.skeleton == transitive_closure(scd.skeleton)
 
 
+def skeleton_sinks(scd: ScdReport) -> frozenset[int]:
+    """Labels of the components without an outgoing skeleton edge."""
+    sources = {i for i, _ in scd.skeleton.edges}
+    return frozenset(w for w in range(1, len(scd.components) + 1) if w not in sources)
+
+
 # -- symbolic brackets, the case table checked against dense commutators ---
 
 class GeneratorCombination:
@@ -347,6 +354,7 @@ def witness_per_agent(p: Configuration, g: Digraph):
         labels.extend((kind, w, (i, j)) for j in targets)
 
     maximal = sorted(scd.maximal_set)
+    reach = edge_reachability(g)
     simplices: dict[int, tuple[int, ...]] = {}
     for w in maximal:
         comp = scd.components[w - 1]
@@ -359,7 +367,7 @@ def witness_per_agent(p: Configuration, g: Digraph):
         w = scd.component_of(j)
         if w not in scd.maximal_set:
             # smallest-label maximal component that j reaches
-            w = next(m for m in maximal if scd.components[m - 1][0] in g._reach[j - 1])
+            w = next(m for m in maximal if (j, scd.components[m - 1][0]) in reach)
         attach("attachment", w, j, simplices[w], range(1, n + 2))
     fields.setflags(write=False)
     vectors = tuple(WitnessVector(*label, row) for label, row in zip(labels, fields))

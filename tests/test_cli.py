@@ -386,6 +386,15 @@ class TestSteerSimulateTrack:
         assert code == 2
         assert "--graph" in err and "--schedule" in err
 
+    @pytest.mark.parametrize("u", ["nan", "inf"])
+    def test_simulate_refuses_non_finite_control_file(self, workdir, u):
+        controls = workdir / "controls.csv"
+        controls.write_text(f"t_start,t_end,i,j,u\n0,0.5,1,2,{u}\n0.5,1,3,4,-0.3\n")
+        code, out, err = invoke("simulate", "--graph", workdir / "k5.txt",
+                                "--config", workdir / "p0.json", "--controls", controls)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: fields must be finite")
+
     def test_simulate_refuses_graph_and_schedule(self, workdir):
         controls, _ = self.steer_controls(workdir, 2)
         sched = workdir / "sched.json"
@@ -492,3 +501,38 @@ class TestWithoutScipy:
         final = parse_trajectory_csv((tmp_path / "traj.csv").read_text()).final
         target = load_configuration(str(tmp_path / "p1.json"))
         assert np.linalg.norm(final.coords - target.coords) < 1e-6
+
+
+# argv after the command's graph and configuration, and the refusal it must print
+NON_FINITE_SETTINGS = [
+    (["simulate", "--controls", "u.csv", "--dt", "nan"], "dt"),
+    (["simulate", "--controls", "u.csv", "--T", "inf"], "horizon"),
+    (["steer", "--target", "p1.json", "--T", "nan"], "horizon"),
+    (["steer", "--target", "p1.json", "--T", "inf"], "horizon"),
+    (["steer", "--target", "p1.json", "--steer-tol", "nan"], "tolerance"),
+    (["steer", "--target", "p1.json", "--steer-tol", "-1"], "tolerance"),
+    (["track", "--waypoints", "wps.json", "--epsilon", "nan"], "epsilon"),
+    (["track", "--waypoints", "wps.json", "--T", "nan"], "horizon"),
+]
+
+
+class TestNonFiniteSettings:
+    """Non-finite or non-positive real settings are refused before any numeric work."""
+
+    @pytest.mark.parametrize("argv, setting", NON_FINITE_SETTINGS,
+                             ids=[" ".join(a[:1] + a[-2:]) for a, _ in NON_FINITE_SETTINGS])
+    def test_one_error_line(self, tmp_path, argv, setting):
+        (tmp_path / "k4.txt").write_text(format_graph_text(Digraph.complete(4)))
+        for name, seed in (("p0.json", 5), ("p1.json", 6)):
+            (tmp_path / name).write_text(
+                format_configuration_json(sample_configuration(2, 4, seed=seed)))
+        (tmp_path / "u.csv").write_text("t_start,t_end,i,j,u\n0,0.5,1,2,0.4\n0.5,1,3,4,-0.3\n")
+        (tmp_path / "wps.json").write_text(json.dumps(
+            [{"t": 0, "config": "p0.json"}, {"t": 1, "config": "p1.json"}]))
+        proc = fresh_python("-m", "formctl.cli", argv[0], "--graph", "k4.txt",
+                            "--config", "p0.json", *argv[1:], cwd=tmp_path)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {setting} must be positive and finite, got ")

@@ -26,6 +26,7 @@ from helpers import (
     is_weakly_connected,
     minimum_scd_partitions,
     random_connected_digraph,
+    skeleton_sinks,
     verify_scd_closure_commutation,
 )
 
@@ -113,6 +114,12 @@ class TestCoarseScd:
         assert scd.component_of(2) == 1
         assert scd.component_of(5) == 2
 
+    @pytest.mark.parametrize("vertex", [0, -1, 7])
+    def test_component_of_refuses_a_vertex_out_of_range(self, vertex):
+        scd = coarse_scd(Digraph(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (3, 4)]))
+        with pytest.raises(InvalidIndices):
+            scd.component_of(vertex)
+
     def test_component_labels_follow_smallest_vertex(self):
         g = Digraph(5, [(5, 4), (4, 5), (4, 1), (1, 2), (2, 1), (2, 3)])
         scd = coarse_scd(g)
@@ -151,6 +158,20 @@ class TestCoarseScd:
                 assert not any(a == w for a, _ in skel.edges)
             else:
                 assert any((w, m) in reach for m in scd.maximal_set)
+
+    @given(st.booleans().flatmap(lambda connected: digraphs(1, 8, connected)))
+    @example(Digraph(4, [(4, 3), (3, 2), (2, 1)]))  # smallest-label order is not topological
+    @example(Digraph(5, [(1, 2), (2, 1), (4, 5)]))  # not weakly connected
+    @settings(max_examples=150, deadline=None)
+    def test_reach_and_maximal_set_match_the_oracles(self, g):
+        scd = g._scd   # the condensation of any graph; coarse_scd needs weak connectivity
+        pairs = edge_reachability(g)
+        assert len(scd.reach) == len(scd.components)
+        for comp, reached in zip(scd.components, scd.reach):
+            assert reached == tuple(sorted(reached))
+            for v in comp:
+                assert set(reached) == {v} | {t for s, t in pairs if s == v}
+        assert scd.maximal_set == skeleton_sinks(scd)
 
     def test_deterministic_across_calls(self):
         rng = random.Random(7)

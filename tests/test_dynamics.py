@@ -64,6 +64,11 @@ class TestGraphSchedule:
         with pytest.raises(InconsistentSchedule):
             GraphSchedule(((0.0, Digraph.cycle(3)),), 0.0)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(InconsistentSchedule, match="finite"):
+            GraphSchedule(((0.0, Digraph.cycle(3)),), horizon)
+
     def test_rejects_nonzero_first_start(self):
         with pytest.raises(InconsistentSchedule):
             GraphSchedule(((0.1, Digraph.cycle(3)),), 1.0)
@@ -434,6 +439,11 @@ class TestSimulate:
         with pytest.raises(StepTooLarge):
             simulate(sched, cs, p0, 0.0)
 
+    def test_rejects_nan_dt(self):
+        sched, cs, p0 = switching_setup()
+        with pytest.raises(StepTooLarge, match="finite"):
+            simulate(sched, cs, p0, math.nan)
+
     def test_rejects_grid_missing_switch(self):
         sched, _, p0 = switching_setup()
         bad = ControlSchedule((0.0, 0.4, 1.0), ({(1, 2): 1.0}, {(1, 3): 1.0}))
@@ -507,6 +517,18 @@ class TestSteer:
         g, p0, p1 = tracked_pair()
         with pytest.raises(NegativeDuration):
             steer(g, p0, p1, 4, 0.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, T):
+        g, p0, p1 = tracked_pair()
+        with pytest.raises(NegativeDuration, match="finite"):
+            steer(g, p0, p1, 4, T)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        g, p0, p1 = tracked_pair()
+        with pytest.raises(InconsistentSchedule, match="tolerance"):
+            steer(g, p0, p1, 4, 1.0, SteerOptions(tolerance=tol))
 
     def test_rejects_single_segment(self):
         g, p0, p1 = tracked_pair()
@@ -800,6 +822,12 @@ class TestTrackPath:
         with pytest.raises(InconsistentSchedule):
             track_path(sched, wps, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        sched, wps = switch_track_setup()
+        with pytest.raises(InconsistentSchedule, match="finite"):
+            track_path(sched, wps, epsilon)
+
     def test_far_waypoints_warn(self):
         g = Digraph.complete(4)
         sched = GraphSchedule.constant(g, 1.0)
@@ -876,6 +904,13 @@ class TestFileFormats:
             parse_control_schedule_csv("t_start,t_end,i,j,u\n0.0,1.0,1\n")
         with pytest.raises(InputFormatError):
             parse_control_schedule_csv("")
+
+    @pytest.mark.parametrize("row", ["0,0.5,1,2,nan", "0,0.5,1,2,inf", "0,0.5,1,2,-inf",
+                                     "0,nan,1,2,0.4", "inf,0.5,1,2,0.4"])
+    def test_control_csv_rejects_non_finite_fields(self, row):
+        text = f"t_start,t_end,i,j,u\n0.5,1,3,4,-0.3\n{row}\n"
+        with pytest.raises(InputFormatError, match="line 3: fields must be finite"):
+            parse_control_schedule_csv(text)
 
     def test_trajectory_csv_round_trip(self):
         sched, cs, p0 = switching_setup()
