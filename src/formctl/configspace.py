@@ -95,9 +95,8 @@ class Configuration:
     __slots__ = ("n", "N", "coords")
 
     def __init__(self, n: int, N: int, coords):
-        n, N = int(n), int(N)
-        if n < 1 or N < 1:
-            raise SizeMismatch(f"need n >= 1 and N >= 1, got n={n}, N={N}")
+        if not (type(n) is int and type(N) is int and n >= 1 and N >= 1):
+            raise SizeMismatch(f"need Python ints n >= 1 and N >= 1, got n={n!r}, N={N!r}")
         arr = np.asarray(coords, dtype=float).reshape(-1)
         if arr.size != n * N:
             raise SizeMismatch(f"expected {n * N} coordinates, got {arr.size}")
@@ -126,18 +125,12 @@ class Configuration:
 
     def agent(self, i: int) -> np.ndarray:
         """Position of agent i (1-based)."""
-        if not (1 <= i <= self.N):
-            raise IndexOutOfRange(f"agent {i} out of range 1..{self.N}")
+        _agent_indices(self, (i,))
         return self.coords[np.arange(self.n) * self.N + (i - 1)].copy()
 
     def subconfiguration(self, indices: Iterable[int]) -> "Configuration":
         """Configuration of the listed agents (1-based, ascending)."""
-        idx = sorted(set(int(i) for i in indices))
-        if not idx:
-            raise EmptySubset("subconfiguration needs at least one agent")
-        for i in idx:
-            if not (1 <= i <= self.N):
-                raise IndexOutOfRange(f"agent {i} out of range 1..{self.N}")
+        idx = _agent_indices(self, indices)
         return Configuration.from_agents(self.agents[[i - 1 for i in idx]])
 
     def __eq__(self, other: object) -> bool:
@@ -153,6 +146,20 @@ class Configuration:
         return f"Configuration(n={self.n}, N={self.N})"
 
 
+def _agent_indices(p: Configuration, indices: Iterable[int]) -> list[int]:
+    """The distinct agents listed, ascending; each must be a Python int in 1..N.
+
+    Every index given is checked, before duplicates merge (1.0 == 1).
+    """
+    idx = list(indices)
+    if not idx:
+        raise EmptySubset("a subset of agents needs at least one agent")
+    for i in idx:
+        if type(i) is not int or not 1 <= i <= p.N:
+            raise IndexOutOfRange(f"agent {i!r} is not a Python int in 1..{p.N}")
+    return sorted(set(idx))
+
+
 def _difference_matrix(p: Configuration, idx: list[int]) -> np.ndarray:
     """Columns x_i - x_base for i in idx[1:], base = idx[0] (n x (m-1)).
 
@@ -166,15 +173,7 @@ def _difference_matrix(p: Configuration, idx: list[int]) -> np.ndarray:
 
 def configuration_rank(p: Configuration, subset: Iterable[int] | None = None) -> int:
     """Dimension of the span of differences within the subset (default: all)."""
-    if subset is None:
-        idx = list(range(1, p.N + 1))
-    else:
-        idx = sorted(set(int(i) for i in subset))
-        if not idx:
-            raise EmptySubset("configuration_rank needs a nonempty subset")
-        for i in idx:
-            if not (1 <= i <= p.N):
-                raise IndexOutOfRange(f"agent {i} out of range 1..{p.N}")
+    idx = list(range(1, p.N + 1)) if subset is None else _agent_indices(p, subset)
     try:
         return numeric_rank(_difference_matrix(p, idx))
     except SizeMismatch:  # p is finite, so a difference overflowed

@@ -48,20 +48,33 @@ class _cached:
 
 
 class Digraph:
-    """Immutable directed graph without self-loops or duplicate edges."""
+    """Immutable directed graph without self-loops or duplicate edges.
+
+    The constructor is the one check on vertex input, and it converts
+    nothing. ``num_vertices`` is a Python int >= 1; each edge given is a
+    hashable (i, j) pair, in practice a tuple, of Python ints with i != j in
+    1..N. Bools, floats, strings, numpy integers and list pairs such as
+    [1, 2] are refused with InvalidIndices, as are self-loops and vertices
+    out of range; convert with int() and tuple() first. The closure and the
+    skeleton are built through this same constructor.
+    """
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] = ()):
-        n = int(num_vertices)
-        if n < 1:
-            raise InvalidIndices(f"num_vertices must be >= 1, got {num_vertices}")
-        es = frozenset((int(i), int(j)) for i, j in edges)
-        for i, j in es:
-            if i == j:
-                raise InvalidIndices(f"self-loop {i}->{j} is not allowed")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise InvalidIndices(f"edge {i}->{j} out of range 1..{n}")
+        n = num_vertices
+        if type(n) is not int or n < 1:
+            raise InvalidIndices(f"num_vertices must be a Python int >= 1, got {n!r}")
+        try:
+            # every pair given is checked, not the set: (1.0, 2) == (1, 2) would merge
+            edges = tuple(edges)
+            for i, j in edges:
+                if not (type(i) is int and type(j) is int and i != j and 0 < i <= n and 0 < j <= n):
+                    raise InvalidIndices(f"edge {i}->{j} must join two distinct vertices in 1..{n}"
+                                         if type(i) is type(j) is int else
+                                         f"edge {(i, j)!r} needs Python ints; convert with int()")
+            self.edges = frozenset(edges)
+        except (TypeError, ValueError) as exc:  # not a pair, or unhashable such as [1, 2]
+            raise InvalidIndices(f"each edge must be an (i, j) tuple of ints: {exc}") from None
         self.num_vertices = n
-        self.edges = es
 
     # Digraph.complete / cycle / path cover the constructions used in tests
     # and examples without each caller re-deriving the edge sets.
@@ -226,8 +239,8 @@ class ScdReport:
 
     def component_of(self, vertex: int) -> int:
         """1-based label of the component containing ``vertex``."""
-        if not 1 <= vertex <= self.num_vertices:
-            raise InvalidIndices(f"vertex {vertex} out of range 1..{self.num_vertices}")
+        if type(vertex) is not int or not 1 <= vertex <= self.num_vertices:
+            raise InvalidIndices(f"vertex {vertex!r} is not a Python int in 1..{self.num_vertices}")
         return self._owner[vertex]
 
     @_cached
@@ -323,8 +336,8 @@ def structural_verdict(g: Digraph, n: int) -> StructuralVerdict:
     at most n vertices, and disconnected when the smallest maximal component
     has exactly n+1.
     """
-    if n < 1:
-        raise InvalidIndices(f"ambient dimension must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise InvalidIndices(f"ambient dimension must be a Python int >= 1, got {n!r}")
     scd = coarse_scd(g)
     sizes = scd.component_sizes
     offending = tuple(sorted(w for w in scd.maximal_set if sizes[w - 1] <= n + 1))

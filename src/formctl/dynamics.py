@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentSchedule,
     InputFormatError,
+    InvalidIndices,
     NegativeDuration,
     SegmentFailure,
     StepTooLarge,
@@ -67,6 +68,17 @@ def _close(a: float, b: float, scale: float) -> bool:
     return abs(a - b) <= _TIME_EPS * max(1.0, scale)
 
 
+def _check_horizon(horizon: float) -> None:
+    if not 0 < horizon < math.inf:
+        raise InconsistentSchedule(f"horizon must be positive and finite, got {horizon}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not a Python int >= least; bools and floats included."""
+    if type(value) is not int or value < least:
+        raise InconsistentSchedule(f"{name} must be a Python int >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GraphSchedule:
     """Right-continuous piecewise-constant graph of interaction over [0, horizon]."""
@@ -75,8 +87,7 @@ class GraphSchedule:
     horizon: float
 
     def __post_init__(self):
-        if not 0 < self.horizon < math.inf:
-            raise InconsistentSchedule(f"horizon must be positive and finite, got {self.horizon}")
+        _check_horizon(self.horizon)
         if not self.segments:
             raise InconsistentSchedule("schedule needs at least one segment")
         starts = [t for t, _ in self.segments]
@@ -403,12 +414,25 @@ def simulate(schedule: GraphSchedule, controls: ControlSchedule,
 
 @dataclass(frozen=True)
 class SteerOptions:
-    """Gauss-Newton shooting parameters; defaults match the reference runs."""
+    """Gauss-Newton shooting parameters; defaults match the reference runs.
+
+    ``tolerance`` is the target residual, positive and finite.
+    ``max_iterations`` (per start) and ``multi_start`` (the zero start plus
+    random restarts) are Python ints >= 1. Anything else is refused with
+    InconsistentSchedule when the options are built, before any search.
+    """
 
     tolerance: float = 1e-8
     max_iterations: int = 200
     multi_start: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0 < self.tolerance < math.inf:
+            raise InconsistentSchedule(
+                f"tolerance must be positive and finite, got {self.tolerance}")
+        _check_count("max_iterations", self.max_iterations, 1)
+        _check_count("multi_start", self.multi_start, 1)
 
 
 @dataclass(frozen=True)
@@ -511,10 +535,7 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
     """
     if not 0 < T < math.inf:
         raise NegativeDuration(f"horizon must be positive and finite, got {T}")
-    if not 0 < opts.tolerance < math.inf:
-        raise InconsistentSchedule(f"tolerance must be positive and finite, got {opts.tolerance}")
-    if segments < 2:
-        raise InconsistentSchedule(f"steering needs at least 2 segments, got {segments}")
+    _check_count("segments", segments, 2)
     if (p0.n, p0.N) != (p1.n, p1.N):
         raise InconsistentSchedule("endpoint configurations must share (n, N)")
     if p0.N != g.num_vertices:
@@ -531,7 +552,7 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
     target = p1.coords.reshape(p1.n, p1.N)
 
     best = None
-    for start in range(max(1, opts.multi_start)):
+    for start in range(opts.multi_start):
         if start == 0:
             theta = np.zeros(dim)
         else:
@@ -626,8 +647,13 @@ def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
 
 @dataclass(frozen=True)
 class TrackOptions:
+    """Steering segments per leg, a Python int >= 2, and the options of each leg."""
+
     segments_per_leg: int = 4
     steer: SteerOptions = field(default_factory=SteerOptions)
+
+    def __post_init__(self):
+        _check_count("segments_per_leg", self.segments_per_leg, 2)
 
 
 @dataclass(frozen=True)
@@ -751,21 +777,14 @@ def _read_timed_list(text: str, item: str, key: str, base_dir, load, inline) -> 
     return out
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _inline_graph(spec) -> Digraph:
-    if not (isinstance(spec, dict) and {"N", "edges"} <= set(spec)):
+    edges = spec.get("edges") if isinstance(spec, dict) else None
+    if not (isinstance(edges, list) and "N" in spec and all(isinstance(e, list) for e in edges)):
         raise InputFormatError(
-            'segment "graph" must be a path or {"N": ..., "edges": [...]}')
-    N, edges = spec["N"], spec["edges"]
-    if not (_is_int(N) and isinstance(edges, list)
-            and all(isinstance(e, list) and all(map(_is_int, e)) for e in edges)):
-        raise InputFormatError('inline graph "N" and edge endpoints must be integers')
+            'segment "graph" must be a path or {"N": ..., "edges": [[i, j], ...]}')
     try:
-        return Digraph(N, [tuple(e) for e in edges])
-    except Exception as exc:
+        return Digraph(spec["N"], [tuple(e) for e in edges])
+    except InvalidIndices as exc:
         raise InputFormatError(f"bad inline graph: {exc}") from None
 
 
@@ -779,10 +798,12 @@ def parse_graph_schedule(text: str, horizon: float, base_dir=None) -> GraphSched
     """JSON list [{"t": float, "graph": <path or {"N":., "edges":[[i,j],..]}>}].
 
     Path entries are resolved against base_dir. The horizon is supplied by
-    the caller; it is not part of the file.
+    the caller; it is not part of the file, so a bad one is refused as a
+    domain error (InconsistentSchedule), as it is without a schedule file.
     """
     segments = _read_timed_list(text, "segment", "graph", base_dir, load_graph,
                                 _inline_graph)
+    _check_horizon(horizon)
     try:
         return GraphSchedule(tuple(segments), horizon)
     except InconsistentSchedule as exc:

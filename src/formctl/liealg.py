@@ -110,6 +110,9 @@ class EdgeGenerator:
     size: int
 
     def __post_init__(self):
+        if not (type(self.i) is type(self.j) is type(self.size) is int):
+            raise InvalidIndices(f"edge generator indices must be Python ints, got "
+                                 f"{self.i!r}->{self.j!r} on {self.size!r}")
         if self.i == self.j:
             raise InvalidIndices(f"edge generator needs i != j, got {self.i}")
         if not (1 <= self.i <= self.size and 1 <= self.j <= self.size):

@@ -536,3 +536,50 @@ class TestNonFiniteSettings:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {setting} must be positive and finite, got ")
+
+
+class TestHorizonExitCode:
+    """--T is not part of a schedule file, so a bad one exits 1 with either source."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "k4.txt").write_text(format_graph_text(Digraph.complete(4)))
+        for name, seed in (("p0.json", 5), ("p1.json", 6)):
+            (tmp_path / name).write_text(
+                format_configuration_json(sample_configuration(2, 4, seed=seed)))
+        (tmp_path / "u.csv").write_text("t_start,t_end,i,j,u\n0,0.5,1,2,0.4\n0.5,1,3,4,-0.3\n")
+        (tmp_path / "wps.json").write_text(json.dumps(
+            [{"t": 0, "config": "p0.json"}, {"t": 1, "config": "p1.json"}]))
+        (tmp_path / "sched.json").write_text(json.dumps([{"t": 0, "graph": "k4.txt"}]))
+        return tmp_path
+
+    COMMANDS = {"simulate": ["--config", "p0.json", "--controls", "u.csv"],
+                "track": ["--waypoints", "wps.json"]}
+
+    @pytest.mark.parametrize("T", ["0", "nan", "inf", "-1"])
+    @pytest.mark.parametrize("source", ["--graph k4.txt", "--schedule sched.json"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_horizon_exits_1(self, files, command, source, T):
+        proc = fresh_python("-m", "formctl.cli", command, *source.split(),
+                            *self.COMMANDS[command], f"--T={T}", cwd=files)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: horizon must be positive and finite, got ")
+
+    @pytest.mark.parametrize("entries, message", [
+        ([{"t": 0, "graph": "k4.txt"}, {"t": 0.6, "graph": "k4.txt"},
+          {"t": 0.3, "graph": "k4.txt"}], "error: segment start times must strictly increase"),
+        ([{"t": 0, "graph": {"N": 4, "edges": [[1.5, 2], [2, 3]]}}],
+         "error: bad inline graph: edge (1.5, 2) needs Python ints; convert with int()"),
+    ], ids=["times-out-of-order", "float-edge"])
+    def test_bad_schedule_file_exits_2(self, files, entries, message):
+        (files / "bad.json").write_text(json.dumps(entries))
+        proc = fresh_python("-m", "formctl.cli", "simulate", "--schedule", "bad.json",
+                            *self.COMMANDS["simulate"], "--T", "1", cwd=files)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(message)

@@ -80,6 +80,16 @@ class TestConfiguration:
         with pytest.raises(SizeMismatch):
             Configuration(2, 3, [0.0] * 5)
 
+    @pytest.mark.parametrize("n, N", [(2.5, 2), (2, 2.0), (True, 4), (np.int64(2), 2)])
+    def test_rejects_counts_that_are_not_python_ints(self, n, N):
+        with pytest.raises(SizeMismatch):
+            Configuration(n, N, [0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("i", [1.5, 2.0, True, np.int64(2)])
+    def test_agent_accessor_refuses_non_int_index(self, i):
+        with pytest.raises(IndexOutOfRange):
+            config([[1, 4], [2, 5], [3, 6]]).agent(i)
+
     def test_subconfiguration(self):
         p = config([[0, 0], [1, 0], [2, 0], [3, 0]])
         sub = p.subconfiguration([3, 1])
@@ -88,6 +98,8 @@ class TestConfiguration:
             p.subconfiguration([])
         with pytest.raises(IndexOutOfRange):
             p.subconfiguration([5])
+        with pytest.raises(IndexOutOfRange):
+            p.subconfiguration([1.9, 3.2])
 
     def test_immutable(self):
         p = config([[0, 0]])
@@ -120,6 +132,12 @@ class TestRanks:
             configuration_rank(p, [])
         with pytest.raises(IndexOutOfRange):
             configuration_rank(p, [3])
+        with pytest.raises(IndexOutOfRange):
+            configuration_rank(p, [1.5, 2.5])
+        with pytest.raises(IndexOutOfRange):
+            configuration_rank(p, ["1", 2])
+        with pytest.raises(IndexOutOfRange):  # not merged into agent 1
+            configuration_rank(p, [1, True])
 
     @pytest.mark.parametrize("call", [
         lambda: Configuration(2, 1, [np.nan, 0.0]),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,37 @@ class TestConstruction:
     def test_rejects_empty_vertex_set(self):
         with pytest.raises(InvalidIndices):
             Digraph(0)
+
+    # the constructor converts nothing; each of these is an InvalidIndices,
+    # never a truncated edge, a TypeError or a ValueError
+    @pytest.mark.parametrize("num_vertices, edges", [
+        (3, [(1.7, 2.9)]),
+        (3, [(True, 2)]),
+        (3, [(1, 2), (True, 2)]),
+        (3, [(1, 2), (1.0, 2)]),
+        (3, [("1", "3")]),
+        (3.9, [(1, 2)]),
+        (True, []),
+        (3, [(np.int64(1), np.int64(2))]),
+        (np.int64(3), [(1, 2)]),
+        (3, [[1, 2]]),
+        (3, [(1, 2, 3)]),
+        (3, [5]),
+        (3, 5),
+    ], ids=["floats", "bool", "bool-duplicate", "float-duplicate", "strings", "float-count",
+            "bool-count", "numpy-pair", "numpy-count", "list-pair", "triple", "non-iterable-edge",
+            "non-iterable-edges"])
+    def test_refuses_all_but_python_int_pairs(self, num_vertices, edges):
+        with pytest.raises(InvalidIndices):
+            Digraph(num_vertices, edges)
+
+    def test_refusal_says_to_convert(self):
+        with pytest.raises(InvalidIndices, match=r"\(1\.7, 2\.9\).*convert with int\(\)"):
+            Digraph(3, [(1.7, 2.9)])
+
+    def test_any_iterable_of_int_tuples(self):
+        edges = {(1, 2), (2, 3)}
+        assert Digraph(3, iter(edges)) == Digraph(3, sorted(edges)) == Digraph(3, edges)
 
     def test_duplicate_edges_collapse(self):
         g = Digraph(3, [(1, 2), (1, 2), (2, 3)])
@@ -114,7 +146,7 @@ class TestCoarseScd:
         assert scd.component_of(2) == 1
         assert scd.component_of(5) == 2
 
-    @pytest.mark.parametrize("vertex", [0, -1, 7])
+    @pytest.mark.parametrize("vertex", [0, -1, 7, 1.0, True])
     def test_component_of_refuses_a_vertex_out_of_range(self, vertex):
         scd = coarse_scd(Digraph(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (3, 4)]))
         with pytest.raises(InvalidIndices):
@@ -259,8 +291,9 @@ class TestStructuralVerdict:
         assert v.kind is StructuralKind.GENERICALLY_CONTROLLABLE
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(InvalidIndices):
-            structural_verdict(Digraph.complete(4), n=0)
+        for n in (0, 2.5, 2.0, True):
+            with pytest.raises(InvalidIndices):
+                structural_verdict(Digraph.complete(4), n=n)
 
     @given(digraphs(min_n=2, max_n=7), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)

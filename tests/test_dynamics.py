@@ -535,6 +535,25 @@ class TestSteer:
         with pytest.raises(InconsistentSchedule):
             steer(g, p0, p1, 1, 1.0)
 
+    @pytest.mark.parametrize("segments", [4.5, 4.0, True, np.int64(4)])
+    def test_rejects_segments_that_are_not_python_ints(self, segments):
+        g, p0, p1 = tracked_pair()
+        with pytest.raises(InconsistentSchedule, match="segments"):
+            steer(g, p0, p1, segments, 1.0)
+
+    # refused when the options are built; run, -1 iterations would return zero
+    # controls as if searched, -3 starts would run one, 2.5 iterations three
+    @pytest.mark.parametrize("setting", [
+        dict(max_iterations=-1), dict(max_iterations=0), dict(max_iterations=2.5),
+        dict(max_iterations=True), dict(multi_start=-3), dict(multi_start=0),
+        dict(multi_start=2.0), dict(multi_start=np.int64(2)),
+    ], ids=lambda d: "=".join(map(str, *d.items())))
+    def test_rejects_counts_before_any_search(self, setting, monkeypatch):
+        g, p0, p1 = tracked_pair()
+        monkeypatch.setattr(dynamics, "expm", None)  # no flow may be formed
+        with pytest.raises(InconsistentSchedule, match=next(iter(setting))):
+            steer(g, p0, p1, 4, 1.0, SteerOptions(**setting))
+
     def test_rejects_shape_mismatch(self):
         g, p0, _ = tracked_pair()
         other = Configuration.from_agents(np.zeros((4, 2)))
@@ -822,6 +841,12 @@ class TestTrackPath:
         with pytest.raises(InconsistentSchedule):
             track_path(sched, wps, 0.0)
 
+    @pytest.mark.parametrize("segments", [1, 0, 3.0, 2.5, True])
+    def test_rejects_bad_segments_per_leg(self, segments):
+        sched, wps = switch_track_setup()
+        with pytest.raises(InconsistentSchedule, match="segments_per_leg"):
+            track_path(sched, wps, 0.01, opts=TrackOptions(segments_per_leg=segments))
+
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
     def test_rejects_non_finite_epsilon(self, epsilon):
         sched, wps = switch_track_setup()
@@ -872,10 +897,29 @@ class TestFileFormats:
         '[{"t": 0.0, "graph": {"N": 3, "edges": [[true, 3], [2, 3]]}}]',
         '[{"t": 0.0, "graph": {"N": true, "edges": []}}]',
         '[{"t": 0.0, "graph": {"N": 3, "edges": [[1, 2], "2 3"]}}]',
+        # the JSON shape is checked here, the vertices by the Digraph constructor
+        '[{"t": 0.0, "graph": {"N": "3", "edges": [[1, 2]]}}]',
+        '[{"t": 0.0, "graph": {"N": 3, "edges": [["1", 2]]}}]',
+        '[{"t": 0.0, "graph": {"N": 3, "edges": [[1, 2, 3]]}}]',
+        '[{"t": 0.0, "graph": {"N": 3, "edges": [[1]]}}]',
+        '[{"t": 0.0, "graph": {"N": 3, "edges": [[1, [2]]]}}]',
+        '[{"t": 0.0, "graph": {"N": 3, "edges": {"1": 2}}}]',
+        '[{"t": 0.0, "graph": {"edges": [[1, 2]]}}]',
+        # segment times out of order are the file's fault, unlike a bad horizon
+        '[{"t": 0.0, "graph": {"N": 2, "edges": [[1, 2]]}},'
+        ' {"t": 0.6, "graph": {"N": 2, "edges": [[2, 1]]}},'
+        ' {"t": 0.3, "graph": {"N": 2, "edges": [[1, 2]]}}]',
     ])
     def test_graph_schedule_rejects(self, bad):
         with pytest.raises(InputFormatError):
             parse_graph_schedule(bad, 1.0)
+
+    # the horizon is not part of the file: refused as with a constant
+    # schedule (exit 1), while a bad file stays an InputFormatError (exit 2)
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_horizon_is_not_a_file_error(self, horizon):
+        with pytest.raises(InconsistentSchedule, match="horizon"):
+            parse_graph_schedule('[{"t": 0.0, "graph": {"N": 2, "edges": [[1, 2]]}}]', horizon)
 
     def test_waypoints_inline_and_path(self, tmp_path):
         cfile = tmp_path / "p.json"

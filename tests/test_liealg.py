@@ -117,6 +117,12 @@ class TestEdgeGenerator:
         with pytest.raises(InvalidIndices):
             EdgeGenerator(0, 1, 3)
 
+    @pytest.mark.parametrize("i, j, size", [(1.5, 2, 3), (True, 2, 3), (1, 2, 3.0),
+                                            (np.int64(1), 2, 3)])
+    def test_rejects_indices_that_are_not_python_ints(self, i, j, size):
+        with pytest.raises(InvalidIndices):
+            EdgeGenerator(i, j, size).dense()
+
     def test_generators_of_graph_sorted_and_independent(self):
         g = Digraph(4, [(3, 1), (1, 2), (2, 3)])
         gens = edge_generators(g)
