@@ -17,7 +17,6 @@ from formctl.configspace import Configuration
 from formctl.digraph import Digraph
 from formctl.dynamics import (
     GraphSchedule,
-    SteerOptions,
     TrackOptions,
     format_control_schedule_csv,
     format_trajectory_csv,
@@ -58,8 +57,7 @@ def run(cfg: DemoConfig) -> None:
             (cfg.agents, 2))
 
     result = track_path(schedule, wps, cfg.epsilon,
-                        opts=TrackOptions(segments_per_leg=3,
-                                          steer=SteerOptions(seed=cfg.seed)))
+                        opts=TrackOptions(segments_per_leg=3, seed=cfg.seed))
     print(f"schedule: switch at t={cfg.switch_time}, horizon {cfg.horizon}")
     print(f"waypoints: {cfg.waypoints}, epsilon {cfg.epsilon}")
     for leg, res in enumerate(result.leg_residuals):

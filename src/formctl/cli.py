@@ -252,8 +252,7 @@ def _cmd_track(args):
     base = os.path.dirname(os.path.abspath(args.waypoints))
     wps = parse_waypoints(_read(args.waypoints), base_dir=base)
     start = load_configuration(args.config) if args.config else None
-    opts = TrackOptions(segments_per_leg=args.segments,
-                        steer=SteerOptions(seed=args.seed))
+    opts = TrackOptions(segments_per_leg=args.segments, seed=args.seed)
     result = track_path(schedule, wps, args.epsilon, start=start, opts=opts)
     if args.controls_out:
         with open(args.controls_out, "w", encoding="utf-8") as fh:

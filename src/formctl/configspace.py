@@ -89,14 +89,18 @@ def numeric_rank(mat: np.ndarray) -> int:
 _OVERFLOW = "coordinate differences overflow the float range; they must be finite"
 
 
+def _check_sizes(n, N) -> None:
+    if not (type(n) is int and type(N) is int and n >= 1 and N >= 1):
+        raise SizeMismatch(f"need Python ints n >= 1 and N >= 1, got n={n!r}, N={N!r}")
+
+
 class Configuration:
     """Immutable positions of N agents in R^n, stored coordinate-major."""
 
     __slots__ = ("n", "N", "coords")
 
     def __init__(self, n: int, N: int, coords):
-        if not (type(n) is int and type(N) is int and n >= 1 and N >= 1):
-            raise SizeMismatch(f"need Python ints n >= 1 and N >= 1, got n={n!r}, N={N!r}")
+        _check_sizes(n, N)
         arr = np.asarray(coords, dtype=float).reshape(-1)
         if arr.size != n * N:
             raise SizeMismatch(f"expected {n * N} coordinates, got {arr.size}")
@@ -318,8 +322,8 @@ def _greedy_rank_extension(p: Configuration, stop_rank: int) -> tuple[list[int],
 
 def local_chart(p: Configuration, k: int) -> StratumChart:
     """Chart of the rank-k stratum centered at p; p must have rank k."""
-    if not (0 <= k <= p.n):
-        raise IndexOutOfRange(f"need 0 <= k <= n, got k={k}, n={p.n}")
+    if type(k) is not int or not 0 <= k <= p.n:
+        raise IndexOutOfRange(f"need a Python int 0 <= k <= n, got k={k!r}, n={p.n}")
     actual = configuration_rank(p)
     if actual != k:
         raise RankMismatch(f"configuration has rank {actual}, chart wants {k}")
@@ -502,14 +506,19 @@ def sample_configuration(n: int, N: int, kind: str = "uniform", *,
     kind "uniform" draws every coordinate from [-1, 1). kind "rank_k" places
     k+1 agents in general position and the rest at random affine
     combinations of them, then verifies the rank and resamples on failure.
+    n and N must be Python ints >= 1 (else SizeMismatch); k and seed Python
+    ints >= 0 (else InvalidStratum).
     """
+    _check_sizes(n, N)
+    if type(seed) is not int or seed < 0:
+        raise InvalidStratum(f"seed must be a Python int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         return Configuration.from_agents(rng.uniform(-1.0, 1.0, size=(N, n)))
     if kind != "rank_k":
         raise InvalidStratum(f"unknown kind {kind!r}")
-    if k is None or not (0 <= k <= n):
-        raise InvalidStratum(f"rank_k needs 0 <= k <= n, got k={k}")
+    if type(k) is not int or not 0 <= k <= n:
+        raise InvalidStratum(f"rank_k needs a Python int 0 <= k <= n, got k={k!r}")
     if k + 1 > N:
         raise InvalidStratum(f"rank {k} needs at least {k + 1} agents, got {N}")
     for _ in range(100):

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -412,27 +412,23 @@ def simulate(schedule: GraphSchedule, controls: ControlSchedule,
 
 # -- steering --------------------------------------------------------------
 
+# Gauss-Newton iterations per start, and starts per steer: the zero start
+# and then deterministic random restarts
+_MAX_ITERATIONS = 200
+_STARTS = 4
+
+
 @dataclass(frozen=True)
 class SteerOptions:
-    """Gauss-Newton shooting parameters; defaults match the reference runs.
-
-    ``tolerance`` is the target residual, positive and finite.
-    ``max_iterations`` (per start) and ``multi_start`` (the zero start plus
-    random restarts) are Python ints >= 1. Anything else is refused with
-    InconsistentSchedule when the options are built, before any search.
-    """
+    """Target residual (positive and finite) and the seed of the random restarts."""
 
     tolerance: float = 1e-8
-    max_iterations: int = 200
-    multi_start: int = 4
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
             raise InconsistentSchedule(
                 f"tolerance must be positive and finite, got {self.tolerance}")
-        _check_count("max_iterations", self.max_iterations, 1)
-        _check_count("multi_start", self.multi_start, 1)
 
 
 @dataclass(frozen=True)
@@ -528,13 +524,14 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
     Single shooting over segments equal intervals: the unknowns are one
     control value per (interval, edge), the objective the final-state
     mismatch. Damped Gauss-Newton with the exact Jacobian of the shooting
-    map; a zero initialization first, then deterministic random restarts.
-    The first start reaching the tolerance wins; otherwise the best residual
-    does, ties to the earlier start. A stalled start (improvement below
-    1e-14 with the residual still above tolerance) is reported, not raised.
+    map; a zero initialization first, then deterministic random restarts,
+    _STARTS starts in all, each of at most _MAX_ITERATIONS iterations. The
+    first start reaching the tolerance wins; otherwise the best residual
+    does, ties to the earlier start. A stalled start (no accepted step, or
+    a last improvement below 1e-14, with the residual still above
+    tolerance) is reported, not raised.
     """
-    if not 0 < T < math.inf:
-        raise NegativeDuration(f"horizon must be positive and finite, got {T}")
+    _check_horizon(T)
     _check_count("segments", segments, 2)
     if (p0.n, p0.N) != (p1.n, p1.N):
         raise InconsistentSchedule("endpoint configurations must share (n, N)")
@@ -552,13 +549,13 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
     target = p1.coords.reshape(p1.n, p1.N)
 
     best = None
-    for start in range(opts.multi_start):
+    for start in range(_STARTS):
         if start == 0:
             theta = np.zeros(dim)
         else:
             rng = np.random.default_rng((opts.seed, start))
             theta = rng.uniform(-0.5, 0.5, size=dim)
-        theta, states, res, iters, stalled = _gauss_newton(shooting, target, theta, opts)
+        theta, states, res, iters, stalled = _gauss_newton(shooting, target, theta, opts.tolerance)
         if best is None or res < best[0]:
             best = (res, start, theta, states, iters, stalled)
         if res <= opts.tolerance:
@@ -570,33 +567,32 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
         dict(zip(edges, map(float, theta[s * len(edges):(s + 1) * len(edges)])))
         for s in range(segments))
     achieved = tuple(Configuration(p0.n, p0.N, x) for x in states)
-    no_progress = stalled and res > opts.tolerance
     return SteerResult(ControlSchedule(grid, values), achieved, float(res), start,
-                       iters, no_progress)
+                       iters, stalled)
 
 
 def _gauss_newton(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
-                  opts: SteerOptions):
+                  tolerance: float):
     """Damped Gauss-Newton; returns (theta, states, residual, iterations, stalled).
 
-    states are the forward pass's x_0 .. x_S at the returned theta.
+    states are the forward pass's x_0 .. x_S at the returned theta. A failed
+    SVD ends the search; so do _MAX_ITERATIONS trials and damping above 1e12.
     """
-    states, r, res, jac = _evaluate(shooting, target, theta, opts.tolerance)
+    states, r, res, jac = _evaluate(shooting, target, theta, tolerance, math.inf)
     svd = None
     lam = 1e-3
-    last_improvement = math.inf
+    last_improvement = 0.0
     iters = 0
-    while iters < opts.max_iterations and opts.tolerance < res < math.inf:
+    while iters < _MAX_ITERATIONS and tolerance < res < math.inf:
         iters += 1
-        try:
-            if svd is None:
+        if svd is None:
+            try:
                 svd = np.linalg.svd(jac, full_matrices=False)
-        except np.linalg.LinAlgError:
-            lam *= 10
-            continue
+            except np.linalg.LinAlgError:
+                break
         trial = theta + _damped_step(svd, r, lam)
         states_trial, r_trial, res_trial, jac_trial = _evaluate(
-            shooting, target, trial, opts.tolerance)
+            shooting, target, trial, tolerance, res)
         if res_trial < res:
             last_improvement = res - res_trial
             theta, states, r, res, jac = trial, states_trial, r_trial, res_trial, jac_trial
@@ -606,7 +602,7 @@ def _gauss_newton(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
             lam *= 10
             if lam > 1e12:
                 break
-    stalled = res > opts.tolerance and last_improvement < 1e-14
+    stalled = res > tolerance and last_improvement < 1e-14
     return theta, states, res, iters, stalled
 
 
@@ -622,12 +618,13 @@ def _damped_step(svd: Sequence[np.ndarray], r: np.ndarray, lam: float) -> np.nda
 
 
 def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
-              tolerance: float):
+              tolerance: float, bound: float):
     """Forward states, residual vector, its norm and the Jacobian at theta.
 
     The norm reads inf when the flow or the Jacobian is not finite (the
     exponentials overflowed), so such a trial is rejected like one that does
-    not improve. The Jacobian is None once the residual meets the tolerance.
+    not improve. The Jacobian is formed only when the norm is below bound,
+    the norm to beat, and above the tolerance; otherwise it is None.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         fwd = shooting.forward(theta)
@@ -635,7 +632,7 @@ def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
         res = float(np.linalg.norm(r))
         if not math.isfinite(res):
             return fwd.states, r, math.inf, None
-        if res <= tolerance:
+        if not tolerance < res < bound:
             return fwd.states, r, res, None
         jac = shooting.jacobian(fwd)
     if not np.all(np.isfinite(jac)):
@@ -647,10 +644,11 @@ def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
 
 @dataclass(frozen=True)
 class TrackOptions:
-    """Steering segments per leg, a Python int >= 2, and the options of each leg."""
+    """Steering segments per leg, a Python int >= 2, and the seed of each leg's
+    random restarts; each leg steers to tolerance epsilon/2."""
 
     segments_per_leg: int = 4
-    steer: SteerOptions = field(default_factory=SteerOptions)
+    seed: int = 0
 
     def __post_init__(self):
         _check_count("segments_per_leg", self.segments_per_leg, 2)
@@ -721,7 +719,7 @@ def track_path(schedule: GraphSchedule,
     values: list[dict[tuple[int, int], float]] = []
     states = [current]
     leg_residuals = []
-    steer_opts = replace(opts.steer, tolerance=epsilon / 2)
+    steer_opts = SteerOptions(epsilon / 2, opts.seed)
     for leg, ((t_a, _), (t_b, p_target)) in enumerate(zip(wps, wps[1:])):
         result = steer(schedule.active(t_a), current, p_target, opts.segments_per_leg,
                        t_b - t_a, steer_opts)

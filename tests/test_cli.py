@@ -568,6 +568,15 @@ class TestHorizonExitCode:
         assert len(lines) == 1
         assert lines[0].startswith("error: horizon must be positive and finite, got ")
 
+    @pytest.mark.parametrize("T", ["0", "nan", "inf", "-1"])
+    def test_bad_steer_horizon_exits_1(self, files, T):
+        proc = fresh_python("-m", "formctl.cli", "steer", "--graph", "k4.txt",
+                            "--config", "p0.json", "--target", "p1.json", f"--T={T}",
+                            cwd=files)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [
+            f"error: horizon must be positive and finite, got {float(T)}"]
+
     @pytest.mark.parametrize("entries, message", [
         ([{"t": 0, "graph": "k4.txt"}, {"t": 0.6, "graph": "k4.txt"},
           {"t": 0.3, "graph": "k4.txt"}], "error: segment start times must strictly increase"),

@@ -307,6 +307,13 @@ class TestLocalChart:
         with pytest.raises(IndexOutOfRange):
             local_chart(p, 5)
 
+    @pytest.mark.parametrize("k", [True, 1.0, 1.5, np.int64(1), -1, 3, None],
+                             ids=repr)
+    def test_refuses_k_that_is_not_a_python_int_in_range(self, k):
+        p = sample_configuration(2, 4, "rank_k", k=1, seed=1)
+        with pytest.raises(IndexOutOfRange, match="Python int"):
+            local_chart(p, k)
+
 
 class TestChartAtAnyScale:
     """The chart decides nothing by a threshold of its own, so it behaves
@@ -579,6 +586,26 @@ class TestSampling:
             sample_configuration(2, 4, "rank_k", k=3)
         with pytest.raises(InvalidStratum):
             sample_configuration(2, 1, "rank_k", k=2)
+
+    @pytest.mark.parametrize("args, kwargs, error", [
+        ((2.0, 5), {}, SizeMismatch),
+        ((2, 5.0), {}, SizeMismatch),
+        ((True, 5), {}, SizeMismatch),
+        ((2, np.int64(5)), {}, SizeMismatch),
+        ((0, 5), {}, SizeMismatch),
+        ((2, 5, "rank_k"), dict(k=1.5), InvalidStratum),
+        ((2, 5, "rank_k"), dict(k=True), InvalidStratum),
+        ((2, 5, "rank_k"), dict(k=np.int64(1)), InvalidStratum),
+        ((2, 5, "rank_k"), dict(k=None), InvalidStratum),
+        ((2, 5), dict(seed=1.5), InvalidStratum),
+        ((2, 5), dict(seed=True), InvalidStratum),
+        ((2, 5), dict(seed=np.int64(1)), InvalidStratum),
+        ((2, 5), dict(seed=-1), InvalidStratum),
+    ], ids=["n=2.0", "N=5.0", "n=True", "N=int64", "n=0", "k=1.5", "k=True", "k=int64",
+            "k=None", "seed=1.5", "seed=True", "seed=int64", "seed=-1"])
+    def test_refuses_counts_that_are_not_python_ints(self, args, kwargs, error):
+        with pytest.raises(error, match="Python int"):
+            sample_configuration(*args, **kwargs)
 
 
 class TestConfigurationFiles:

@@ -1,5 +1,6 @@
 """Flows, simulation, steering, and tracking."""
 
+import dataclasses
 import math
 import warnings
 
@@ -514,14 +515,18 @@ class TestSteer:
         assert all(set(u) == g.edges for u in result.controls.values)
 
     def test_rejects_bad_horizon(self):
+        # the one horizon check, with the type and message of GraphSchedule's
         g, p0, p1 = tracked_pair()
-        with pytest.raises(NegativeDuration):
-            steer(g, p0, p1, 4, 0.0)
+        for T in (0.0, -1.0):
+            with pytest.raises(InconsistentSchedule,
+                               match=f"horizon must be positive and finite, got {T}"):
+                steer(g, p0, p1, 4, T)
 
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     def test_rejects_non_finite_horizon(self, T):
         g, p0, p1 = tracked_pair()
-        with pytest.raises(NegativeDuration, match="finite"):
+        with pytest.raises(InconsistentSchedule,
+                           match=f"horizon must be positive and finite, got {T}"):
             steer(g, p0, p1, 4, T)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -541,8 +546,8 @@ class TestSteer:
         with pytest.raises(InconsistentSchedule, match="segments"):
             steer(g, p0, p1, segments, 1.0)
 
-    # refused when the options are built; run, -1 iterations would return zero
-    # controls as if searched, -3 starts would run one, 2.5 iterations three
+    # the iteration cap and the start count are fixed (_MAX_ITERATIONS,
+    # _STARTS), so a caller's setting of either is refused before any search
     @pytest.mark.parametrize("setting", [
         dict(max_iterations=-1), dict(max_iterations=0), dict(max_iterations=2.5),
         dict(max_iterations=True), dict(multi_start=-3), dict(multi_start=0),
@@ -551,8 +556,13 @@ class TestSteer:
     def test_rejects_counts_before_any_search(self, setting, monkeypatch):
         g, p0, p1 = tracked_pair()
         monkeypatch.setattr(dynamics, "expm", None)  # no flow may be formed
-        with pytest.raises(InconsistentSchedule, match=next(iter(setting))):
+        with pytest.raises(TypeError, match=next(iter(setting))):
             steer(g, p0, p1, 4, 1.0, SteerOptions(**setting))
+
+    def test_options_hold_only_the_settings_in_force(self):
+        assert [f.name for f in dataclasses.fields(SteerOptions)] == ["tolerance", "seed"]
+        assert [f.name for f in dataclasses.fields(TrackOptions)] == [
+            "segments_per_leg", "seed"]
 
     def test_rejects_shape_mismatch(self):
         g, p0, _ = tracked_pair()
@@ -560,13 +570,14 @@ class TestSteer:
         with pytest.raises(InconsistentSchedule):
             steer(g, p0, other, 4, 1.0)
 
-    def test_warns_on_degenerate_endpoint(self):
+    def test_warns_on_degenerate_endpoint(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_ITERATIONS", 3)
+        monkeypatch.setattr(dynamics, "_STARTS", 1)
         g = Digraph.complete(5)
         coincident = Configuration.from_agents(np.ones((5, 2)))
         target = Configuration.from_agents(np.random.default_rng(0).normal(size=(5, 2)))
         with pytest.warns(UserWarning, match="rank condition"):
-            steer(g, coincident, target, 2, 1.0,
-                  SteerOptions(max_iterations=3, multi_start=1))
+            steer(g, coincident, target, 2, 1.0)
 
     def test_builds_closure_once(self, monkeypatch):
         # both endpoint rank checks read one closure, so Tarjan runs once on g
@@ -578,10 +589,12 @@ class TestSteer:
             return tarjan(g)
 
         monkeypatch.setattr(digraph, "_tarjan_components", counted)
+        monkeypatch.setattr(dynamics, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(dynamics, "_STARTS", 1)
         g = Digraph.complete(5)
         rng = np.random.default_rng(1)
         p0, p1 = (Configuration.from_agents(rng.normal(size=(5, 2))) for _ in range(2))
-        steer(g, p0, p1, 2, 1.0, SteerOptions(max_iterations=1, multi_start=1))
+        steer(g, p0, p1, 2, 1.0)
         assert calls == [g]
 
     def test_exact_jacobian_matches_central_differences(self):
@@ -610,11 +623,13 @@ class TestSteer:
         assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(central))
 
     def test_expm_calls_and_jacobian_work_do_not_grow_with_edges(self, monkeypatch):
-        # one expm call per forward pass for the segment flows, which makes one
-        # Pade call; each Jacobian differentiates the S segment exponentials
-        # along n N directions in one more
-        flows, pades = [], []
-        expm, pade_exp = dynamics.expm, dynamics._pade_exp
+        # every trial's forward pass makes one expm call for the segment
+        # flows, which is one Pade call; a Jacobian differentiates the S
+        # segment exponentials along n N directions in one more Pade call,
+        # and is formed once at the start and once per accepted step, except
+        # where the residual meets the tolerance
+        flows, pades, trials = [], [], []
+        expm, pade_exp, evaluate = dynamics.expm, dynamics._pade_exp, dynamics._evaluate
 
         def counted(a):
             flows.append(a.shape)
@@ -624,18 +639,63 @@ class TestSteer:
             pades.append((a.shape, None if e is None else e.shape))
             return pade_exp(a, e)
 
+        def recorded(shooting, target, theta, tolerance, bound):
+            out = evaluate(shooting, target, theta, tolerance, bound)
+            trials.append(out[2])
+            return out
+
         monkeypatch.setattr(dynamics, "expm", counted)
         monkeypatch.setattr(dynamics, "_pade_exp", counted_pade)
-        for N in (3, 6):
+        monkeypatch.setattr(dynamics, "_evaluate", recorded)
+        monkeypatch.setattr(dynamics, "_STARTS", 1)
+        rejected = 0
+        for N in (4, 6):
             flows.clear()
             pades.clear()
+            trials.clear()
             rng = np.random.default_rng(N)
             p0, p1 = (Configuration.from_agents(rng.normal(size=(N, 2))) for _ in range(2))
-            result = steer(Digraph.complete(N), p0, p1, 3, 1.0,
-                           SteerOptions(max_iterations=4, multi_start=1))
-            assert result.iterations == 4
-            assert flows == [(3, N, N)] * (result.iterations + 1)
-            assert pades == [((3, N, N), None), ((3, N, N), (3, 2 * N, N, N))] * len(flows)
+            result = steer(Digraph.complete(N), p0, p1, 3, 1.0)
+            assert flows == [(3, N, N)] * len(trials) == [(3, N, N)] * (result.iterations + 1)
+            jacobian = ((3, N, N), (3, 2 * N, N, N))
+            assert pades.count(((3, N, N), None)) == len(flows)
+            assert len(pades) == len(flows) + pades.count(jacobian)
+            accepted, current = 0, trials[0]
+            for res in trials[1:]:
+                if res < current:
+                    accepted, current = accepted + 1, res
+            met = result.residual <= 1e-8
+            assert pades.count(jacobian) == 1 + accepted - met
+            rejected += result.iterations - accepted
+        assert rejected > 0     # some trial was rejected and formed no Jacobian
+
+    def test_failed_svd_ends_the_start(self, monkeypatch):
+        calls = []
+
+        def failing_svd(*args, **kwargs):
+            calls.append(args)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(dynamics, "larc_passes", lambda p, g: True)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        g = Digraph.complete(4)
+        rng = np.random.default_rng(3)
+        p0, p1 = (Configuration.from_agents(rng.normal(size=(4, 2))) for _ in range(2))
+        result = steer(g, p0, p1, 3, 1.0)
+        assert len(calls) == dynamics._STARTS
+        assert result.iterations == 1
+        assert result.no_progress is True
+
+    def test_start_without_accepted_step_reports_no_progress(self, monkeypatch):
+        # every trial overflows the flow and is rejected, until the damping
+        # passes 1e12 after 16 trials
+        monkeypatch.setattr(dynamics, "_damped_step",
+                            lambda svd, r, lam: np.full(svd[2].shape[1], 1e300))
+        g, p0, p1 = tracked_pair()
+        result = steer(g, p0, p1, 3, 1.0)
+        assert result.residual == float(np.linalg.norm(p1.coords - p0.coords))
+        assert (result.start_index, result.iterations) == (0, 16)
+        assert result.no_progress is True
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_generator_gives_a_rejected_jacobian(self, bad):
@@ -649,7 +709,7 @@ class TestSteer:
             warnings.simplefilter("error")
             jac = shooting.jacobian(fwd)
             _, _, res, rejected = dynamics._evaluate(
-                shooting, p1.coords.reshape(p1.n, p1.N), theta, 1e-8)
+                shooting, p1.coords.reshape(p1.n, p1.N), theta, 1e-8, math.inf)
         assert jac.shape == (p0.n * p0.N, 3 * len(g.edges))
         assert not np.isfinite(jac).any()
         assert (res, rejected) == (math.inf, None)
@@ -689,8 +749,9 @@ class TestSteer:
         got = dynamics._damped_step(np.linalg.svd(jac, full_matrices=False), r, lam)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_overflowing_trial_is_rejected_not_raised(self):
+    def test_overflowing_trial_is_rejected_not_raised(self, monkeypatch):
         # a trial step from this collinear, far target overflows the flow
+        monkeypatch.setattr(dynamics, "_STARTS", 2)
         g = Digraph.complete(4)
         rng = np.random.default_rng(5)
         for _ in range(8):
@@ -702,7 +763,7 @@ class TestSteer:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)      # collinear target
             warnings.simplefilter("error", RuntimeWarning)    # overflow stays inside
-            result = steer(g, p0, p1, 2, 1.0, SteerOptions(multi_start=2))
+            result = steer(g, p0, p1, 2, 1.0)
         assert math.isfinite(result.residual)
         assert result.residual < np.linalg.norm(p1.coords - p0.coords)
 
@@ -719,10 +780,11 @@ class TestSteer:
             p = flow_constant(g, u, p, result.controls.grid[k + 1] - result.controls.grid[k])
             assert np.abs(p.coords - result.states[k + 1].coords).max() < 1e-12 * scale
 
-    def test_stall_is_reported_not_raised(self):
+    def test_stall_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(dynamics, "_STARTS", 1)
         g, p0, p1 = tracked_pair(2)
-        result = steer(g, p0, p1, 2, 1e-4,
-                       SteerOptions(max_iterations=2, multi_start=1, tolerance=1e-14))
+        result = steer(g, p0, p1, 2, 1e-4, SteerOptions(tolerance=1e-14))
         assert result.residual > 1e-14
         assert isinstance(result.no_progress, bool)
 
@@ -807,11 +869,12 @@ class TestTrackPath:
         offset = float(np.linalg.norm(off.coords - wps[0][1].coords))
         assert result.max_deviation >= offset
 
-    def test_segment_failure_carries_leg_info(self):
+    def test_segment_failure_carries_leg_info(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(dynamics, "_STARTS", 1)
         sched, wps = switch_track_setup()
-        opts = TrackOptions(steer=SteerOptions(max_iterations=1, multi_start=1))
         with pytest.raises(SegmentFailure) as err:
-            track_path(sched, wps, 1e-9, opts=opts)
+            track_path(sched, wps, 1e-9)
         assert err.value.leg == 0
         assert err.value.residual > err.value.target
 
@@ -853,7 +916,9 @@ class TestTrackPath:
         with pytest.raises(InconsistentSchedule, match="finite"):
             track_path(sched, wps, epsilon)
 
-    def test_far_waypoints_warn(self):
+    def test_far_waypoints_warn(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_ITERATIONS", 5)
+        monkeypatch.setattr(dynamics, "_STARTS", 1)
         g = Digraph.complete(4)
         sched = GraphSchedule.constant(g, 1.0)
         rng = np.random.default_rng(9)
@@ -861,9 +926,7 @@ class TestTrackPath:
         w1 = Configuration.from_agents(w0.agents + 10.0)
         with pytest.warns(UserWarning, match="apart"):
             try:
-                track_path(sched, [(0.0, w0), (1.0, w1)], 0.5,
-                           opts=TrackOptions(steer=SteerOptions(max_iterations=5,
-                                                                multi_start=1)))
+                track_path(sched, [(0.0, w0), (1.0, w1)], 0.5)
             except SegmentFailure:
                 pass
 
