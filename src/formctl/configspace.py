@@ -101,7 +101,10 @@ class Configuration:
 
     def __init__(self, n: int, N: int, coords):
         _check_sizes(n, N)
-        arr = np.asarray(coords, dtype=float).reshape(-1)
+        try:
+            arr = np.asarray(coords, dtype=float).reshape(-1)
+        except OverflowError:  # a Python int beyond the float range
+            raise SizeMismatch("coordinates must be finite") from None
         if arr.size != n * N:
             raise SizeMismatch(f"expected {n * N} coordinates, got {arr.size}")
         if not np.all(np.isfinite(arr)):
@@ -239,8 +242,8 @@ class StratumChart:
     singular frame raises Degenerate; the chart has no threshold of its own.
     """
 
-    __slots__ = ("center", "k", "index_choice", "A_part", "B_part", "L_map",
-                 "_chosen", "_rest", "_center_coefficients")
+    __slots__ = ("center", "k", "index_choice", "B_part", "_chosen", "_rest",
+                 "_center_coefficients")
 
     def __init__(self, center: Configuration, k: int, index_choice: tuple[int, ...]):
         _check_spread(center)
@@ -249,9 +252,7 @@ class StratumChart:
         chosen = np.asarray(index_choice, dtype=int) - 1
         rest = np.setdiff1d(np.arange(center.N), chosen)
         for name, value in (("center", center), ("k", k), ("index_choice", index_choice),
-                            ("A_part", a_part), ("B_part", b_part),
-                            ("L_map", np.hstack([a_part, b_part])),
-                            ("_chosen", chosen), ("_rest", rest)):
+                            ("B_part", b_part), ("_chosen", chosen), ("_rest", rest)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_center_coefficients", self._coefficients(center.agents))
 
@@ -534,11 +535,18 @@ def sample_configuration(n: int, N: int, kind: str = "uniform", *,
 
 # -- file formats ----------------------------------------------------------
 
-def _check_finite_table(rows: list[list[float]]) -> None:
-    for row in rows:
-        for x in row:
-            if not math.isfinite(x):
-                raise InputFormatError("coordinates must be finite (no NaN/Inf)")
+def _file_configuration(n, N, rows: list[list]) -> Configuration:
+    """Configuration(n, N, ...) of a table of agent rows, with its refusals
+    as file errors; the columns are the coordinate-major layout."""
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise InputFormatError("agent rows must be equally long")
+    try:
+        p = Configuration(n, N, [x for column in zip(*rows) for x in column])
+    except SizeMismatch as exc:
+        raise InputFormatError(str(exc)) from None
+    if len(rows[0]) != n:  # the table holds n N >= 1 numbers, so a first row
+        raise InputFormatError(f"every agent needs exactly n = {n} coordinates")
+    return p
 
 
 def parse_configuration_json(text: str) -> Configuration:
@@ -547,22 +555,21 @@ def parse_configuration_json(text: str) -> Configuration:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"bad JSON: {exc}") from None
+    return _configuration_object(obj)
+
+
+def _configuration_object(obj) -> Configuration:
+    """Configuration of a decoded JSON object (a file or an inline waypoint);
+    this checks the JSON shape, Configuration the sizes and the values."""
     if not isinstance(obj, dict) or not {"n", "N", "agents"} <= set(obj):
         raise InputFormatError('expected an object with keys "n", "N", "agents"')
-    n, N, agents = obj["n"], obj["N"], obj["agents"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, N)):
-        raise InputFormatError('"n" and "N" must be integers')
-    if not isinstance(agents, list) or len(agents) != N:
-        raise InputFormatError(f'"agents" must list exactly N = {N} rows')
-    rows = []
-    for row in agents:
-        if not isinstance(row, list) or len(row) != n:
-            raise InputFormatError(f"every agent needs exactly n = {n} coordinates")
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
-            raise InputFormatError("agent coordinates must be numbers")
-        rows.append([float(x) for x in row])
-    _check_finite_table(rows)
-    return Configuration.from_agents(np.array(rows).reshape(N, n))
+    agents = obj["agents"]
+    if not (isinstance(agents, list) and all(isinstance(row, list) for row in agents)):
+        raise InputFormatError('"agents" must be a list of coordinate lists')
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for row in agents for x in row):
+        raise InputFormatError("agent coordinates must be numbers")
+    return _file_configuration(obj["n"], obj["N"], agents)
 
 
 def format_configuration_json(p: Configuration) -> str:
@@ -582,11 +589,7 @@ def parse_configuration_csv(text: str) -> Configuration:
             raise InputFormatError(f"bad CSV row {record!r}") from None
     if not rows:
         raise InputFormatError("empty configuration file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InputFormatError("CSV rows have inconsistent lengths")
-    _check_finite_table(rows)
-    return Configuration.from_agents(np.array(rows))
+    return _file_configuration(len(rows[0]), len(rows), rows)
 
 
 def format_configuration_csv(p: Configuration) -> str:

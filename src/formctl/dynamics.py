@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .configspace import Configuration, load_configuration, parse_configuration_json
+from .configspace import Configuration, _configuration_object, load_configuration
 from .digraph import Digraph, StructuralKind, load_graph, structural_verdict
 from .errors import (
     DimensionMismatch,
@@ -68,9 +68,18 @@ def _close(a: float, b: float, scale: float) -> bool:
     return abs(a - b) <= _TIME_EPS * max(1.0, scale)
 
 
-def _check_horizon(horizon: float) -> None:
-    if not 0 < horizon < math.inf:
-        raise InconsistentSchedule(f"horizon must be positive and finite, got {horizon}")
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a real setting (horizon, tolerance, epsilon) that is not positive and finite."""
+    if not 0 < value < math.inf:
+        raise InconsistentSchedule(f"{name} must be positive and finite, got {value}")
+
+
+def _check_times(times: Sequence[float], name: str) -> None:
+    """Refuse times that are not finite or do not strictly increase: `a < b`
+    is False when either is NaN, and -inf and inf bound the ends."""
+    for a, b in zip((-math.inf, *times), (*times, math.inf)):
+        if not a < b:
+            raise InconsistentSchedule(f"{name} must strictly increase and be finite")
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -87,15 +96,13 @@ class GraphSchedule:
     horizon: float
 
     def __post_init__(self):
-        _check_horizon(self.horizon)
+        _check_positive("horizon", self.horizon)
         if not self.segments:
             raise InconsistentSchedule("schedule needs at least one segment")
         starts = [t for t, _ in self.segments]
         if starts[0] != 0.0:
             raise InconsistentSchedule(f"first segment must start at 0, got {starts[0]}")
-        for a, b in zip(starts, starts[1:]):
-            if b <= a:
-                raise InconsistentSchedule("segment start times must strictly increase")
+        _check_times(starts, "segment start times")
         if starts[-1] >= self.horizon:
             raise InconsistentSchedule("last segment starts at or after the horizon")
         sizes = {g.num_vertices for _, g in self.segments}
@@ -137,9 +144,7 @@ class ControlSchedule:
     def __post_init__(self):
         if len(self.grid) < 2:
             raise InconsistentSchedule("control grid needs at least two breakpoints")
-        for a, b in zip(self.grid, self.grid[1:]):
-            if b <= a:
-                raise InconsistentSchedule("control grid must strictly increase")
+        _check_times(self.grid, "control grid")
         if len(self.values) != len(self.grid) - 1:
             raise InconsistentSchedule(
                 f"{len(self.grid) - 1} intervals but {len(self.values)} value maps")
@@ -184,9 +189,7 @@ class Trajectory:
     def __post_init__(self):
         if len(self.times) != len(self.states) or not self.times:
             raise InconsistentSchedule("times and states must align and be nonempty")
-        for a, b in zip(self.times, self.times[1:]):
-            if b <= a:
-                raise InconsistentSchedule("sample times must strictly increase")
+        _check_times(self.times, "sample times")
         shapes = {(s.n, s.N) for s in self.states}
         if len(shapes) != 1:
             raise InconsistentSchedule("all states must share (n, N)")
@@ -420,15 +423,14 @@ _STARTS = 4
 
 @dataclass(frozen=True)
 class SteerOptions:
-    """Target residual (positive and finite) and the seed of the random restarts."""
+    """Target residual (positive and finite) and restart seed (a Python int >= 0)."""
 
     tolerance: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise InconsistentSchedule(
-                f"tolerance must be positive and finite, got {self.tolerance}")
+        _check_positive("tolerance", self.tolerance)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -531,7 +533,7 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
     a last improvement below 1e-14, with the residual still above
     tolerance) is reported, not raised.
     """
-    _check_horizon(T)
+    _check_positive("horizon", T)
     _check_count("segments", segments, 2)
     if (p0.n, p0.N) != (p1.n, p1.N):
         raise InconsistentSchedule("endpoint configurations must share (n, N)")
@@ -645,13 +647,14 @@ def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
 @dataclass(frozen=True)
 class TrackOptions:
     """Steering segments per leg, a Python int >= 2, and the seed of each leg's
-    random restarts; each leg steers to tolerance epsilon/2."""
+    random restarts, a Python int >= 0; each leg steers to tolerance epsilon/2."""
 
     segments_per_leg: int = 4
     seed: int = 0
 
     def __post_init__(self):
         _check_count("segments_per_leg", self.segments_per_leg, 2)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -678,17 +681,14 @@ def track_path(schedule: GraphSchedule,
     trajectory is sampled at the control breakpoints, with the states each
     leg's steering reached there, so no flow is computed twice.
     """
-    if not 0 < epsilon < math.inf:
-        raise InconsistentSchedule(f"epsilon must be positive and finite, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     wps = list(waypoints)
     if len(wps) < 2:
         raise InconsistentSchedule("tracking needs at least two waypoints")
     times = [t for t, _ in wps]
     if times[0] != 0.0:
         raise InconsistentSchedule(f"first waypoint must sit at t=0, got {times[0]}")
-    for a, b in zip(times, times[1:]):
-        if b <= a:
-            raise InconsistentSchedule("waypoint times must strictly increase")
+    _check_times(times, "waypoint times")
     if times[-1] > schedule.horizon * (1 + _TIME_EPS):
         raise InconsistentSchedule("waypoints extend past the schedule horizon")
     for s in schedule.switch_times:
@@ -786,12 +786,6 @@ def _inline_graph(spec) -> Digraph:
         raise InputFormatError(f"bad inline graph: {exc}") from None
 
 
-def _inline_configuration(spec) -> Configuration:
-    if not isinstance(spec, dict):
-        raise InputFormatError('waypoint "config" must be a path or an object')
-    return parse_configuration_json(json.dumps(spec))
-
-
 def parse_graph_schedule(text: str, horizon: float, base_dir=None) -> GraphSchedule:
     """JSON list [{"t": float, "graph": <path or {"N":., "edges":[[i,j],..]}>}].
 
@@ -801,7 +795,7 @@ def parse_graph_schedule(text: str, horizon: float, base_dir=None) -> GraphSched
     """
     segments = _read_timed_list(text, "segment", "graph", base_dir, load_graph,
                                 _inline_graph)
-    _check_horizon(horizon)
+    _check_positive("horizon", horizon)
     try:
         return GraphSchedule(tuple(segments), horizon)
     except InconsistentSchedule as exc:
@@ -811,7 +805,7 @@ def parse_graph_schedule(text: str, horizon: float, base_dir=None) -> GraphSched
 def parse_waypoints(text: str, base_dir=None) -> list[tuple[float, Configuration]]:
     """JSON list [{"t": float, "config": <path or inline configuration>}]."""
     return _read_timed_list(text, "waypoint", "config", base_dir, load_configuration,
-                            _inline_configuration)
+                            _configuration_object)
 
 
 def format_control_schedule_csv(controls: ControlSchedule) -> str:

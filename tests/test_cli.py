@@ -592,3 +592,49 @@ class TestHorizonExitCode:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(message)
+
+
+class TestRefusedByTheTypeBuilt:
+    """A seed and a configuration file are refused by the type they become,
+    with one error: line and nothing on stdout."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "k4.txt").write_text(format_graph_text(Digraph.complete(4)))
+        # a collinear start: the zero start stalls, so a seeded restart is drawn
+        (tmp_path / "line.json").write_text(json.dumps(
+            {"n": 2, "N": 4, "agents": [[0, 0], [1, 0], [2, 0], [3, 0]]}))
+        (tmp_path / "target.json").write_text(
+            format_configuration_json(sample_configuration(2, 4, seed=2)))
+        return tmp_path
+
+    @pytest.mark.parametrize("command", ["steer", "track"])
+    def test_bad_seed_exits_1(self, files, command):
+        (files / "wps.json").write_text(json.dumps(
+            [{"t": 0, "config": "line.json"}, {"t": 1, "config": "target.json"}]))
+        inputs = {"steer": ["--config", "line.json", "--target", "target.json",
+                            "--segments", "3"],
+                  "track": ["--waypoints", "wps.json"]}[command]
+        proc = fresh_python("-m", "formctl.cli", command, "--graph", "k4.txt", *inputs,
+                            "--T", "1.0", "--seed", "-1", cwd=files)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == ["error: seed must be a Python int >= 0, got -1"]
+
+    @pytest.mark.parametrize("config", [
+        {"n": 0, "N": 1, "agents": [[]]},
+        {"n": 1, "N": 0, "agents": []},
+        {"n": 2.0, "N": 2, "agents": [[0, 0], [1, 0]]},
+    ], ids=["n=0", "N=0", "n=2.0"])
+    @pytest.mark.parametrize("where", ["file", "inline waypoint"])
+    def test_bad_count_in_a_configuration_exits_2(self, files, config, where):
+        (files / "bad.json").write_text(json.dumps(config))
+        (files / "wps.json").write_text(json.dumps(
+            [{"t": 0, "config": config}, {"t": 1, "config": "target.json"}]))
+        argv = (["chart", "--config", files / "bad.json"] if where == "file" else
+                ["track", "--graph", files / "k4.txt", "--T", "1.0",
+                 "--waypoints", files / "wps.json"])
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: need Python ints n >= 1 and N >= 1, got n={config['n']!r}, "
+            f"N={config['N']!r}"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 from itertools import combinations
 
@@ -75,6 +76,10 @@ class TestConfiguration:
             config([[0.0, np.nan]])
         with pytest.raises(SizeMismatch):
             Configuration(1, 2, [1.0, np.inf])
+
+    def test_rejects_int_beyond_the_float_range(self):
+        with pytest.raises(SizeMismatch, match="coordinates must be finite"):
+            Configuration(1, 2, [1, -10**400])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(SizeMismatch):
@@ -246,7 +251,7 @@ class TestLocalChart:
 
     @pytest.mark.parametrize("n,N,k", [(2, 4, 1), (2, 5, 0), (3, 5, 2), (2, 4, 2)])
     def test_center_maps_to_zero(self, n, N, k):
-        # exactly: forward rebuilds the frame L_map was built from
+        # exactly: forward solves in the frame that gave the center's coefficients
         for seed in range(40):
             _, ch = self.make(n, N, k, seed)
             assert not ch.forward(ch.center).any()
@@ -294,11 +299,13 @@ class TestLocalChart:
 
     def test_frame_shape_and_orthogonality(self):
         _, ch = self.make(3, 5, 2)
-        assert ch.A_part.shape == (3, 2)
-        assert ch.B_part.shape == (3, 1)
-        assert np.abs(ch.B_part.T @ ch.A_part).max() < 1e-12
-        assert np.allclose(ch.B_part.T @ ch.B_part, np.eye(1))
-        assert abs(np.linalg.det(ch.L_map)) > 1e-12
+        frame = ch._frame(ch.center.agents)  # [A | B] at the center
+        a_part, b_part = frame[:, :2], frame[:, 2:]
+        assert frame.shape == (3, 3)
+        assert np.array_equal(b_part, ch.B_part)
+        assert np.abs(b_part.T @ a_part).max() < 1e-12
+        assert np.allclose(b_part.T @ b_part, np.eye(1))
+        assert abs(np.linalg.det(frame)) > 1e-12
 
     def test_rank_mismatch(self):
         p = sample_configuration(2, 4, "rank_k", k=1, seed=1)
@@ -630,6 +637,34 @@ class TestConfigurationFiles:
             parse_configuration_json('{"n": 2, "N": 2, "agents": [[1, 2]]}')
         with pytest.raises(InputFormatError):
             parse_configuration_json('{"n": 2, "N": 1, "agents": [[1]]}')
+
+    # n and N are Configuration's to check: a bad count is a malformed file
+    @pytest.mark.parametrize("obj", [
+        {"n": 0, "N": 1, "agents": [[]]},
+        {"n": 1, "N": 0, "agents": []},
+        {"n": 2.0, "N": 2, "agents": [[0, 0], [1, 0]]},
+        {"n": 2, "N": 2.0, "agents": [[0, 0], [1, 0]]},
+        {"n": "2", "N": 2, "agents": [[0, 0], [1, 0]]},
+    ], ids=["n=0", "N=0", "n=2.0", "N=2.0", "n='2'"])
+    def test_json_refuses_counts_as_configuration_does(self, obj):
+        with pytest.raises(InputFormatError, match="need Python ints n >= 1 and N >= 1"):
+            parse_configuration_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("agents, message", [
+        ([[1, 2, 3, 4]], "every agent needs exactly n = 2 coordinates"),
+        ([[1], [2], [3], [4]], "every agent needs exactly n = 2 coordinates"),
+        ([[1, 2], [3]], "equally long"),
+        ([[1, 2], 3], "coordinate lists"),
+        ([[1, 2], [3, 4, 5]], "equally long"),
+        ([[1, 2]], "expected 4 coordinates, got 2"),
+        ([[1, 2], [3, "4"]], "numbers"),
+        ([[1, 2], [3, 1e400]], "finite"),
+        ([[1, 2], [3, 10**400]], "finite"),
+    ])
+    def test_json_refuses_agent_tables(self, agents, message):
+        text = json.dumps({"n": 2, "N": 2, "agents": agents})
+        with pytest.raises(InputFormatError, match=message):
+            parse_configuration_json(text)
 
     def test_json_rejects_boolean_count(self):
         with pytest.raises(InputFormatError):

@@ -1,7 +1,9 @@
 """Flows, simulation, steering, and tracking."""
 
 import dataclasses
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +42,11 @@ from formctl.errors import (
 )
 
 from helpers import forward_jacobian, parse_trajectory_csv
+
+
+# every time grid refuses a time that is not finite as it does one out of order
+NON_FINITE = [math.nan, math.inf, -math.inf]
+FINITE_AND_INCREASING = "must strictly increase and be finite"
 
 
 def two_agent_line():
@@ -84,6 +91,12 @@ class TestGraphSchedule:
         with pytest.raises(InconsistentSchedule):
             GraphSchedule(((0.0, g), (1.0, g)), 1.0)
 
+    @pytest.mark.parametrize("t", NON_FINITE, ids=str)
+    def test_rejects_start_times_that_are_not_finite(self, t):
+        g = Digraph.cycle(3)
+        with pytest.raises(InconsistentSchedule, match=FINITE_AND_INCREASING):
+            GraphSchedule(((0.0, g), (t, g), (0.5, g)), 1.0)
+
     def test_rejects_mixed_vertex_counts(self):
         with pytest.raises(InconsistentSchedule):
             GraphSchedule(((0.0, Digraph.cycle(3)), (0.5, Digraph.cycle(4))), 1.0)
@@ -102,6 +115,13 @@ class TestControlSchedule:
     def test_rejects_value_count_mismatch(self):
         with pytest.raises(InconsistentSchedule):
             ControlSchedule((0.0, 1.0), ({}, {}))
+
+    @pytest.mark.parametrize("grid", [(0.0, t, 1.0) for t in NON_FINITE] +
+                             [(0.0, 0.5, t) for t in NON_FINITE] +
+                             [(t, 0.5, 1.0) for t in NON_FINITE], ids=str)
+    def test_rejects_grid_times_that_are_not_finite(self, grid):
+        with pytest.raises(InconsistentSchedule, match="control grid " + FINITE_AND_INCREASING):
+            ControlSchedule(grid, ({(1, 2): 1.0}, {(1, 2): 2.0}))
 
     def test_interval_lookup(self):
         cs = ControlSchedule((0.0, 0.5, 1.0), ({(1, 2): 1.0}, {(1, 2): 2.0}))
@@ -127,6 +147,21 @@ class TestControlSchedule:
         cs = ControlSchedule((0.0, 1.0), ({(2, 3): 1.0},))
         with pytest.raises(UnknownEdge):
             cs.validate_against(s)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("times", [(0.0, t, 1.0) for t in NON_FINITE] +
+                             [(0.0, 0.5, t) for t in NON_FINITE] + [(t,) for t in NON_FINITE],
+                             ids=str)
+    def test_rejects_sample_times_that_are_not_finite(self, times):
+        _, p = two_agent_line()
+        with pytest.raises(InconsistentSchedule, match="sample times " + FINITE_AND_INCREASING):
+            Trajectory(times, (p,) * len(times))
+
+    def test_rejects_unsorted_times(self):
+        _, p = two_agent_line()
+        with pytest.raises(InconsistentSchedule, match="sample times must strictly increase"):
+            Trajectory((0.0, 0.5, 0.5), (p, p, p))
 
 
 class TestFlowConstant:
@@ -482,6 +517,10 @@ def tracked_pair(seed=11):
     return g, p0, p1
 
 
+# a seed is refused when the options are built, not when a restart draws it
+BAD_SEEDS = [-1, 1.5, 1.0, True, np.int64(1), None, "1"]
+
+
 class TestSteer:
     def test_inverse_crime_recovers_target(self):
         g, p0, p1 = tracked_pair()
@@ -534,6 +573,15 @@ class TestSteer:
         g, p0, p1 = tracked_pair()
         with pytest.raises(InconsistentSchedule, match="tolerance"):
             steer(g, p0, p1, 4, 1.0, SteerOptions(tolerance=tol))
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_rejects_bad_seed_when_options_are_built(self, seed):
+        with pytest.raises(InconsistentSchedule,
+                           match=f"seed must be a Python int >= 0, got {re.escape(repr(seed))}"):
+            SteerOptions(seed=seed)
+
+    def test_large_seed_is_accepted(self):
+        assert SteerOptions(seed=2**70).seed == TrackOptions(seed=2**70).seed == 2**70
 
     def test_rejects_single_segment(self):
         g, p0, p1 = tracked_pair()
@@ -899,10 +947,24 @@ class TestTrackPath:
         with pytest.raises(InconsistentSchedule):
             track_path(sched, shifted, 0.01)
 
+    @pytest.mark.parametrize("t", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_rejects_waypoint_times_that_are_not_finite(self, position, t):
+        sched, wps = switch_track_setup()
+        wps[position] = (t, wps[position][1])
+        with pytest.raises(InconsistentSchedule, match="waypoint times " + FINITE_AND_INCREASING):
+            track_path(sched, wps, 0.01)
+
     def test_rejects_bad_epsilon(self):
         sched, wps = switch_track_setup()
         with pytest.raises(InconsistentSchedule):
             track_path(sched, wps, 0.0)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_rejects_bad_seed_when_options_are_built(self, seed):
+        with pytest.raises(InconsistentSchedule,
+                           match=f"seed must be a Python int >= 0, got {re.escape(repr(seed))}"):
+            TrackOptions(seed=seed)
 
     @pytest.mark.parametrize("segments", [1, 0, 3.0, 2.5, True])
     def test_rejects_bad_segments_per_leg(self, segments):
@@ -997,6 +1059,17 @@ class TestFileFormats:
     def test_waypoints_reject_bad(self):
         with pytest.raises(InputFormatError):
             parse_waypoints('[{"t": 0.0}]')
+
+    # an inline configuration is refused by the same rules as a file
+    @pytest.mark.parametrize("config", [
+        {"n": 0, "N": 1, "agents": [[]]},
+        {"n": 1, "N": 0, "agents": []},
+        {"n": 2.0, "N": 2, "agents": [[0, 0], [1, 0]]},
+    ], ids=["n=0", "N=0", "n=2.0"])
+    def test_waypoints_refuse_inline_counts_as_configuration_does(self, config):
+        text = json.dumps([{"t": 0.0, "config": config}])
+        with pytest.raises(InputFormatError, match="need Python ints n >= 1 and N >= 1"):
+            parse_waypoints(text)
 
     def test_control_csv_round_trip(self):
         cs = ControlSchedule(
