@@ -10,7 +10,9 @@ values above RANK_TOL times the largest one (``_rank_of``). Configuration
 and control-field ranks and affine hulls all use it, and no caller can
 change RANK_TOL. There is no other threshold: a stratum chart solves in one
 frame, and a singular frame is an error (Degenerate). (Lie closure
-dimensions are exact integer ranks.)
+dimensions are exact integer ranks.) A configuration keeps each subset
+rank it has taken, so membership, LARC and the witness share one SVD per
+maximal component.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def _check_sizes(n, N) -> None:
 class Configuration:
     """Immutable positions of N agents in R^n, stored coordinate-major."""
 
-    __slots__ = ("n", "N", "coords")
+    __slots__ = ("n", "N", "coords", "_ranks")   # _ranks: set by configuration_rank
 
     def __init__(self, n: int, N: int, coords):
         _check_sizes(n, N)
@@ -118,7 +120,10 @@ class Configuration:
     @classmethod
     def from_agents(cls, agents) -> "Configuration":
         """Build from an (N, n) array-like with one agent per row."""
-        arr = np.asarray(agents, dtype=float)
+        try:
+            arr = np.asarray(agents, dtype=float)
+        except OverflowError:  # a Python int beyond the float range
+            raise SizeMismatch("coordinates must be finite") from None
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:
@@ -167,7 +172,7 @@ def _agent_indices(p: Configuration, indices: Iterable[int]) -> list[int]:
     return sorted(set(idx))
 
 
-def _difference_matrix(p: Configuration, idx: list[int]) -> np.ndarray:
+def _difference_matrix(p: Configuration, idx: Sequence[int]) -> np.ndarray:
     """Columns x_i - x_base for i in idx[1:], base = idx[0] (n x (m-1)).
 
     p is finite, so a difference that is not has overflowed; that is left to
@@ -179,12 +184,33 @@ def _difference_matrix(p: Configuration, idx: list[int]) -> np.ndarray:
 
 
 def configuration_rank(p: Configuration, subset: Iterable[int] | None = None) -> int:
-    """Dimension of the span of differences within the subset (default: all)."""
-    idx = list(range(1, p.N + 1)) if subset is None else _agent_indices(p, subset)
+    """Dimension of the span of differences within the subset (default: all).
+
+    p keeps each rank it has taken, so a subset is ranked once per
+    configuration (``_subset_rank``).
+    """
+    idx = range(1, p.N + 1) if subset is None else _agent_indices(p, subset)
+    return _subset_rank(p, tuple(idx))
+
+
+def _subset_rank(p: Configuration, idx: tuple[int, ...]) -> int:
+    """configuration_rank of the agents idx, distinct and ascending.
+
+    The rank is stored on p, keyed by idx, in a slot made on first use; a
+    rank refused for overflow is not stored.
+    """
     try:
-        return numeric_rank(_difference_matrix(p, idx))
-    except SizeMismatch:  # p is finite, so a difference overflowed
-        raise SizeMismatch(_OVERFLOW) from None
+        ranks = p._ranks
+    except AttributeError:
+        ranks = {}
+        object.__setattr__(p, "_ranks", ranks)
+    rank = ranks.get(idx)
+    if rank is None:
+        try:
+            rank = ranks[idx] = numeric_rank(_difference_matrix(p, idx))
+        except SizeMismatch:  # p is finite, so a difference overflowed
+            raise SizeMismatch(_OVERFLOW) from None
+    return rank
 
 
 @dataclass(frozen=True)
@@ -208,11 +234,8 @@ def in_controllable_set(p: Configuration, scd: ScdReport) -> ControllableSetMemb
         raise SizeMismatch(
             f"decomposition is over {scd.num_vertices} vertices, "
             f"configuration has {p.N} agents")
-    ranks = []
-    for w in sorted(scd.maximal_set):
-        comp = scd.components[w - 1]
-        ranks.append((w, configuration_rank(p, comp)))
-    return ControllableSetMembership(p.n, tuple(ranks))
+    return ControllableSetMembership(p.n, tuple(
+        (w, _subset_rank(p, scd.components[w - 1])) for w in sorted(scd.maximal_set)))
 
 
 # -- local charts of the rank strata ---------------------------------------
@@ -308,13 +331,21 @@ class StratumChart:
 
 
 def _greedy_rank_extension(p: Configuration, stop_rank: int) -> tuple[list[int], int]:
-    """Scan agents in index order, keeping those that raise the affine rank."""
+    """Scan agents in index order, keeping those that raise the affine rank.
+
+    When the first stop_rank + 1 agents have rank stop_rank, the scan keeps
+    exactly them: by interlacing, every prefix of their differences has full
+    column rank, so each agent raises the rank. They are then ranked once.
+    """
+    head = tuple(range(1, stop_rank + 2))
+    if p.N > stop_rank and _subset_rank(p, head) == stop_rank:
+        return list(head), stop_rank
     chosen = [1]
     rank = 0
     for i in range(2, p.N + 1):
         if rank == stop_rank:
             break
-        r = configuration_rank(p, chosen + [i])
+        r = _subset_rank(p, (*chosen, i))
         if r > rank:
             chosen.append(i)
             rank = r
@@ -361,23 +392,24 @@ def _face(drop, n: int) -> np.ndarray:
     return c + (c >= np.asarray(drop)[..., None] - 1)
 
 
-def _first_faces(simplex: np.ndarray, pts: np.ndarray, own: np.ndarray) -> np.ndarray:
+def _first_faces(simplices: np.ndarray, pts: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Dropped position (1-based) of the simplex face each point takes.
 
-    simplex holds the n+1 simplex agents and pts the points, one per row. A
-    face serves x when its differences from x, (simplex[kept] - x).T, have
-    rank n. A point with own > 0 is the simplex agent at that position and
-    tries only the face opposite itself; every other point tries the drops
-    in ascending order and takes the first face that serves it. Round d
-    ranks, in one stacked SVD, the d-th face of every point still undecided
-    (and in round 1 the simplex agents' own faces). A point gets 0 when no
-    face serves it and -1 when a face it tries overflows before one serves
-    it (``_stacked_rank``).
+    pts holds the points, one per row, and simplices (one per point, shape
+    (points, n+1, n)) the n+1 agents of each point's simplex. A face serves
+    x when its differences from x, (simplex[kept] - x).T, have rank n. A
+    point with own > 0 is the simplex agent at that position and tries only
+    the face opposite itself; every other point tries the drops in ascending
+    order and takes the first face that serves it. Round d ranks, in one
+    stacked SVD, the d-th face of every point still undecided (and in round
+    1 the simplex agents' own faces). A point gets 0 when no face serves it
+    and -1 when a face it tries overflows before one serves it
+    (``_stacked_rank``).
     """
-    n = simplex.shape[1]
+    n = simplices.shape[-1]
     drop = np.zeros(len(pts), dtype=int)
     with np.errstate(over="ignore"):  # _stacked_rank refuses what overflowed
-        diffs = simplex[None] - pts[:, None]
+        diffs = simplices - pts[:, None]
     todo = np.arange(len(pts))
     for d in range(1, n + 2):
         tried = np.where(own[todo] > 0, own[todo], d)
@@ -405,7 +437,7 @@ def extend_simplex_with_point(simplex: Configuration, x) -> tuple[int, ...]:
         raise SizeMismatch(f"point must lie in R^{n}, got length {point.size}")
     if not np.isfinite(point).all():
         raise SizeMismatch("coordinates must be finite")
-    drop = int(_first_faces(simplex.agents, point[None], np.zeros(1, dtype=int))[0])
+    drop = int(_first_faces(simplex.agents[None], point[None], np.zeros(1, dtype=int))[0])
     if drop < 0:
         raise SizeMismatch(_OVERFLOW)
     if drop == 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -760,7 +761,9 @@ def _read_timed_list(text: str, item: str, key: str, base_dir, load, inline) -> 
         if not isinstance(entry, dict) or "t" not in entry or key not in entry:
             raise InputFormatError(f'each {item} needs keys "t" and "{key}"')
         t = entry["t"]
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
+        number = isinstance(t, (int, float)) and not isinstance(t, bool)
+        # compared exactly: NaN, ±inf and an int beyond the float range fail
+        if not (number and abs(t) <= sys.float_info.max):
             raise InputFormatError(f"bad {item} time {t!r}")
         spec = entry[key]
         if isinstance(spec, str):

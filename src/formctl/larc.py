@@ -8,10 +8,16 @@ agent i's coordinate slots alone, the span dimension decomposes into a sum
 of per-agent ranks of the differences x_j - x_i. An agent i of strong
 component C reaches exactly R(C), the agents C reaches, C included, so its
 rank is dim aff R(C): one rank per labelled component, read from the
-condensation's ``ScdReport.reach``, never from the closure's edges. The
-witness ranks faces in batches, at most one stacked SVD per maximal
-component and drop position; the rule is unchanged: every agent takes the
-first face of its simplex whose differences from the agent have rank n.
+condensation's ``ScdReport.reach``, never from the closure's edges. R(C)
+contains the reach set of every successor of C, so the rank is monotone
+down the condensation: a component with a successor of rank n has rank n
+without an SVD. The witness ranks the faces of all agents in batches, at
+most one stacked SVD per drop position; the rule is unchanged: every agent
+takes the first face of its simplex whose differences from the agent have
+rank n. The witness keeps that rule where the rank condition inherits
+rank n: an agent far from a small sink passes LARC, yet each face it could
+attach to may be too ill conditioned to count as rank n, and the witness
+refuses it.
 """
 
 from __future__ import annotations
@@ -26,12 +32,12 @@ from .configspace import (
     _check_spread,
     _face,
     _first_faces,
-    configuration_rank,
+    _subset_rank,
     find_nondegenerate_simplex,
     in_controllable_set,
 )
 from .digraph import Digraph, StructuralKind, coarse_scd, structural_verdict
-from .errors import NotInControllableSet, SizeMismatch, StructuralFailure
+from .errors import Degenerate, NotInControllableSet, SizeMismatch, StructuralFailure
 
 __all__ = [
     "LarcReport",
@@ -64,7 +70,12 @@ def lie_algebra_at(p: Configuration, g: Digraph) -> LarcReport:
     Per agent i, the fields of edges i->j in the transitive closure occupy
     agent i's coordinate slots only, so the total dimension is the sum over
     agents of rank{x_j - x_i}. For i in strong component C that rank is
-    dim aff R(C), taken once per component. g need not be weakly connected.
+    dim aff R(C), taken once per component. R(C) contains R(S) for each
+    successor S of C, so a component with a successor of rank n has rank n
+    and takes no SVD; the components are walked successors first. The
+    others are ranked by ``configuration_rank``, which p keeps, so a
+    maximal component ranked by ``in_controllable_set`` is not ranked
+    again. g need not be weakly connected.
 
     Raises SizeMismatch when some coordinate's spread over the agents
     overflows, even if no agent reaches across it.
@@ -74,10 +85,16 @@ def lie_algebra_at(p: Configuration, g: Digraph) -> LarcReport:
             f"graph has {g.num_vertices} vertices, configuration has {p.N} agents")
     _check_spread(p)
     scd = g._scd   # the condensation; coarse_scd would refuse a graph not weakly connected
+    n, owner, adjacency = p.n, scd._owner, scd._adjacency
+    by_label = [0] * (len(scd.components) + 1)
     ranks = [0] * p.N
     closure_edges = 0
-    for comp, reached in zip(scd.components, scd.reach):
-        rank = configuration_rank(p, reached)
+    for comp in scd._emitted:      # reverse topological: every successor first
+        k = owner[comp[0]]
+        reached = scd.reach[k - 1]
+        # an edge inside C reads C's own entry, still 0
+        full = any(by_label[owner[j]] == n for i in comp for j in adjacency[i - 1])
+        rank = by_label[k] = n if full else _subset_rank(p, reached)
         for i in comp:
             ranks[i - 1] = rank
         closure_edges += len(comp) * (len(reached) - 1)
@@ -132,13 +149,15 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
     the result spans a subspace of the control span; each agent's n fields
     lie in its own slots with rank n, as ``lie_algebra_at`` counts it.
 
-    The faces are ranked in batches, at most one stacked SVD per maximal
-    component and drop position (``configspace._first_faces``); each agent
-    takes the face it would take if its faces were ranked one at a time.
-    The fields come simplex agents first, by component, then the other
-    agents in ascending label, and a refusal names the first agent in that
-    order that no face serves. Raises SizeMismatch when some coordinate's
-    spread over the agents overflows.
+    Every maximal component's simplex is picked first; then the faces of all
+    agents are ranked in batches, at most one stacked SVD per drop position
+    (``configspace._first_faces``), and each agent takes the face it would
+    take if its faces were ranked one at a time. The fields come simplex
+    agents first, by component, then the other agents in ascending label,
+    and a refusal names the first agent in that order that no face serves.
+    A component whose simplex search fails (Degenerate) is refused after
+    the simplex agents of the components before it. Raises SizeMismatch
+    when some coordinate's spread over the agents overflows.
     """
     n, N = p.n, p.N
     scd = coarse_scd(g)
@@ -155,39 +174,46 @@ def construct_witness_basis(p: Configuration, g: Digraph) -> WitnessBasis:
             f"maximal components {failing} are degenerate at this configuration")
 
     pts = p.agents
+    owner, adjacency = scd._owner, scd._adjacency
     maximal = sorted(scd.maximal_set)
-    home = np.zeros(N + 1, dtype=int)   # by agent label: the component it attaches to
-    for comp, reached in zip(scd.components, scd.reach):
-        # the smallest-label maximal component reached holds the smallest such
-        # vertex; a maximal component reaches only itself
-        home[list(comp)] = next(w for w in map(scd.component_of, reached)
-                                if w in scd.maximal_set)
-    drop = np.zeros(N + 1, dtype=int)
-    targets = np.zeros((N + 1, n), dtype=int)
-    heads: list[int] = []               # simplex agents, by component
+    home = [0] * (len(scd.components) + 1)  # by label: smallest-label maximal component reached
+    for comp in scd._emitted:               # reverse topological: every successor first
+        k = owner[comp[0]]
+        home[k] = k if k in scd.maximal_set else \
+            min(home[owner[j]] for i in comp for j in adjacency[i - 1] if owner[j] != k)
+    home = np.array(home)[owner]            # by agent label
+    simplex = np.zeros((len(scd.components) + 1, n + 1), dtype=int)  # by component label
+    heads: list[int] = []                   # simplex agents, by component
+    degenerate = None
     for w in maximal:
         comp = scd.components[w - 1]
-        simplex = [comp[l - 1] for l in find_nondegenerate_simplex(p.subconfiguration(comp))]
-        agents = np.array(simplex + [j for j in np.flatnonzero(home == w).tolist()
-                                     if j not in simplex])
-        own = np.zeros(agents.size, dtype=int)
-        own[:n + 1] = np.arange(1, n + 2)
-        drop[agents] = _first_faces(pts[agents[:n + 1] - 1], pts[agents - 1], own)
-        _refuse_first(simplex, drop[simplex])
-        targets[agents] = agents[_face(drop[agents], n)]
-        heads += simplex
+        try:
+            local = find_nondegenerate_simplex(p.subconfiguration(comp))
+        except Degenerate as exc:
+            # refused after the simplex agents of the components before w
+            degenerate = exc
+            break
+        simplex[w] = [comp[l - 1] for l in local]
+        heads += simplex[w].tolist()
     # simplex agents by component, then every other agent in ascending label
-    order = np.array(heads + sorted(set(range(1, N + 1)).difference(heads)))
-    _refuse_first(order, drop[order])
+    order = np.array(heads if degenerate else
+                     heads + sorted(set(range(1, N + 1)).difference(heads)), dtype=int)
+    own = np.zeros(order.size, dtype=int)
+    own[:len(heads)] = np.tile(np.arange(1, n + 2), len(heads) // (n + 1))
+    faces = simplex[home[order]]            # per agent, its simplex's agents
+    drop = _first_faces(pts[faces - 1], pts[order - 1], own)
+    _refuse_first(order, drop)
+    if degenerate:
+        raise degenerate
+    targets = np.take_along_axis(faces, _face(drop, n), axis=1)
 
     fields = np.zeros((n * N, n * N))   # one row per field, n rows per agent
     fields[np.arange(n * N).reshape(N, n, 1), (np.arange(n) * N + order[:, None] - 1)[:, None]] \
-        = pts[targets[order] - 1] - pts[order - 1][:, None]
+        = pts[targets - 1] - pts[order - 1][:, None]
     fields.setflags(write=False)
-    labels = [("simplex" if r < len(heads) else "attachment", w, (i, j))
-              for r, (w, i, ts) in enumerate(zip(home[order].tolist(), order.tolist(),
-                                                 targets[order].tolist())) for j in ts]
-    vectors = tuple(WitnessVector(*label, row) for label, row in zip(labels, fields))
+    kinds = ["simplex"] * (n * len(heads)) + ["attachment"] * (n * (N - len(heads)))
+    vectors = tuple(map(WitnessVector, kinds, np.repeat(home[order], n).tolist(),
+                        zip(np.repeat(order, n).tolist(), targets.ravel().tolist()), fields))
     return WitnessBasis(n, N, vectors, fields.T)
 
 

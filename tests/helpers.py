@@ -471,6 +471,36 @@ def far_source_k4() -> tuple[Digraph, Configuration]:
         sink + [[91088.2523649101, 213490.06161589033]])
 
 
+def border_source_k4(far=(1e3, 300.0)) -> tuple[Digraph, Configuration]:
+    """A K4 sink on {2..5}, a unit square scaled to 1e-6, fed by agent 1 at
+    ``far`` through 1 -> 2.
+
+    Agent 1 reaches the sink, so its rank is the sink's, 2. Ranked on its
+    own, with agent 1 at (1e3, 300), its reach set's second singular value
+    falls below RANK_TOL times the first; so does every face agent 1 could
+    attach to, and the witness refuses it. At (1e2, 30) both pass.
+    """
+    edges = [(1, 2)] + [(a, b) for a in range(2, 6) for b in range(2, 6) if a != b]
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * 1e-6
+    return Digraph(5, edges), Configuration.from_agents(np.vstack([far, square]))
+
+
+def greedy_simplex(p: Configuration) -> tuple[int, ...] | None:
+    """The simplex search one agent at a time: keep each agent, in index
+    order, whose differences with the kept ones (from agent 1) raise the
+    rank, until it reaches n; None when it never does."""
+    pts = p.agents
+    chosen, rank = [0], 0
+    for i in range(1, p.N):
+        if rank == p.n:
+            break
+        r = numeric_rank((pts[chosen[1:] + [i]] - pts[0]).T)
+        if r > rank:
+            chosen.append(i)
+            rank = r
+    return tuple(i + 1 for i in chosen) if rank == p.n else None
+
+
 # -- affine oracles ---------------------------------------------------------
 
 def extended_matrix_rank(p: Configuration) -> int:

@@ -594,6 +594,22 @@ class TestHorizonExitCode:
         assert lines[0].startswith(message)
 
 
+    @pytest.mark.parametrize("t", [10**400, -10**400], ids=["401-digits", "minus-401-digits"])
+    @pytest.mark.parametrize("flag", ["--waypoints", "--schedule"])
+    def test_time_beyond_the_float_range_exits_2(self, files, monkeypatch, flag, t):
+        # a JSON int too large for a float is a bad time, not an OverflowError
+        bad = {"--waypoints": [{"t": 0, "config": "p0.json"}, {"t": t, "config": "p1.json"}],
+               "--schedule": [{"t": 0, "graph": "k4.txt"}, {"t": t, "graph": "k4.txt"}]}[flag]
+        (files / "bad.json").write_text(json.dumps(bad))
+        source = (["--graph", "k4.txt", "--waypoints", "bad.json"] if flag == "--waypoints"
+                  else ["--schedule", "bad.json", "--waypoints", "wps.json"])
+        monkeypatch.chdir(files)
+        code, out, err = invoke("track", *source, "--T", "1")
+        assert (code, out) == (2, "")
+        item = "waypoint" if flag == "--waypoints" else "segment"
+        assert err.splitlines() == [f"error: bad {item} time {t}"]
+
+
 class TestRefusedByTheTypeBuilt:
     """A seed and a configuration file are refused by the type they become,
     with one error: line and nothing on stdout."""

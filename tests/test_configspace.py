@@ -32,8 +32,10 @@ from formctl.configspace import (
     sample_configuration,
     subspace_distance,
 )
+from formctl import configspace
 from formctl.digraph import Digraph, coarse_scd
-from helpers import extended_matrix_rank, intersect_affine, rank_k_near
+from formctl.larc import lie_algebra_at
+from helpers import extended_matrix_rank, greedy_simplex, intersect_affine, rank_k_near
 from formctl.errors import (
     Degenerate,
     DimensionMismatch,
@@ -80,6 +82,10 @@ class TestConfiguration:
     def test_rejects_int_beyond_the_float_range(self):
         with pytest.raises(SizeMismatch, match="coordinates must be finite"):
             Configuration(1, 2, [1, -10**400])
+
+    def test_from_agents_rejects_int_beyond_the_float_range(self):
+        with pytest.raises(SizeMismatch, match="coordinates must be finite"):
+            Configuration.from_agents([[10**400]])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(SizeMismatch):
@@ -203,6 +209,54 @@ class TestRanks:
         N = n + 3
         p = sample_configuration(n, N, "rank_k", k=k, seed=seed)
         assert extended_matrix_rank(p) == configuration_rank(p) + 1
+
+
+class TestRankMemo:
+    """A configuration keeps the ranks it has taken, and only its own."""
+
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        mats = []
+        numeric_rank = configspace.numeric_rank
+
+        def recorded(mat):
+            mats.append(np.array(mat))
+            return numeric_rank(mat)
+
+        monkeypatch.setattr(configspace, "numeric_rank", recorded)
+        return mats
+
+    def test_a_subset_is_ranked_once(self, ranked):
+        p = config([[0, 0], [1, 0], [2, 0], [0, 1]])
+        assert [configuration_rank(p, [3, 1, 2]), configuration_rank(p, (1, 2, 3, 1))] == [1, 1]
+        assert [configuration_rank(p), configuration_rank(p, range(1, 5))] == [2, 2]
+        assert len(ranked) == 2
+
+    @pytest.mark.parametrize("other", ["equal", "different", "subconfiguration"])
+    def test_never_carries_over_to_another_configuration(self, ranked, other):
+        p = config([[0, 0], [1, 0], [0, 1]])
+        assert configuration_rank(p) == 2
+        q = {"equal": lambda: config(p.agents),
+             "different": lambda: config([[0, 0], [1, 0], [2, 0]]),
+             "subconfiguration": lambda: p.subconfiguration([1, 2, 3])}[other]()
+        assert configuration_rank(q) == (1 if other == "different" else 2)
+        assert len(ranked) == 2
+        assert np.array_equal(ranked[1], q.agents[1:].T - q.agents[0][:, None])
+
+    def test_a_refused_rank_is_not_kept(self, ranked):
+        p = config([[-1e308, 0], [1e308, 0]])
+        for _ in range(2):
+            with pytest.raises(SizeMismatch, match="overflow"):
+                configuration_rank(p)
+        assert len(ranked) == 2
+
+    def test_membership_and_larc_share_the_maximal_ranks(self, ranked):
+        # one K4 sink fed by agent 5: the sink is ranked once, agent 5 inherits
+        g = Digraph(5, [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b] + [(5, 1)])
+        p = sample_configuration(2, 5, seed=4)
+        assert in_controllable_set(p, coarse_scd(g)).passes
+        assert lie_algebra_at(p, g).per_agent_ranks == (2,) * 5
+        assert len(ranked) == 1
 
 
 class TestControllableSetMembership:
@@ -378,6 +432,26 @@ class TestSimplexSearch:
         idx = find_nondegenerate_simplex(p)
         assert len(idx) == n + 1
         assert configuration_rank(p, idx) == n
+
+    @given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 10**6),
+           st.sampled_from(["uniform", "rank_k", "scaled"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_greedy_oracle(self, n, N, seed, kind):
+        # "scaled" spreads the agents over 24 decades, where ranks sit at the margin
+        rng = np.random.default_rng(seed)
+        if kind == "rank_k":
+            p = sample_configuration(n, N, "rank_k", k=int(rng.integers(0, min(n, N - 1) + 1)),
+                                     seed=seed)
+        else:
+            pts = rng.uniform(-1.0, 1.0, size=(N, n))
+            if kind == "scaled":
+                pts *= 10.0 ** rng.integers(-12, 13, size=(N, 1))
+            p = config(pts)
+        try:
+            got = find_nondegenerate_simplex(p)
+        except Degenerate:
+            got = None
+        assert got == greedy_simplex(p)
 
     def test_subset_count_lower_bound(self):
         # every non-degenerate configuration with N > n has at least N - n

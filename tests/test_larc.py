@@ -21,6 +21,7 @@ from formctl.configspace import (
 )
 from formctl.digraph import Digraph, coarse_scd, structural_verdict, transitive_closure
 from formctl.errors import (
+    Degenerate,
     FormctlError,
     NotInControllableSet,
     NotWeaklyConnected,
@@ -36,6 +37,7 @@ from formctl.larc import (
 from formctl.liealg import EdgeGenerator, ZeroRowSumMatrix, bracket
 
 from helpers import (
+    border_source_k4,
     digraphs,
     far_source_k4,
     larc_per_agent,
@@ -162,7 +164,8 @@ class TestLieAlgebraAt:
 
 class TestRankPerStrongComponent:
     def test_one_rank_per_component(self, monkeypatch):
-        # two K4 sinks and their source are three components: three ranks, not nine
+        # two K4 sinks and their source are three components: two ranks, not
+        # nine, since the source reaches a sink of rank n and inherits it
         shapes = []
         numeric_rank = configspace.numeric_rank
 
@@ -173,7 +176,7 @@ class TestRankPerStrongComponent:
         monkeypatch.setattr(configspace, "numeric_rank", recorded)
         g, p = two_k4_sinks(1.0)
         rep = lie_algebra_at(p, g)
-        assert len(shapes) == 3
+        assert len(shapes) == 2
         assert rep.per_agent_ranks == (2,) * 9
 
     def test_certificate_chain_builds_no_closure(self):
@@ -197,6 +200,51 @@ class TestRankPerStrongComponent:
         p = Configuration.from_agents([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
         with pytest.raises(SizeMismatch, match="overflow"):
             lie_algebra_at(p, Digraph(3, [(1, 3), (2, 3)]))
+
+
+@st.composite
+def sink_instances(draw):
+    """Generically controllable sink-component graphs, each strong component
+    scaled by its own power of ten in 1e-12..1e12: a reach set ranked on its
+    own then sits at the margin when a far source feeds a small sink."""
+    n = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    sizes = draw(st.lists(st.integers(n + 2, n + 4), min_size=1, max_size=2))
+    g = sink_component_graph(rng, draw(st.integers(len(sizes) + 1, 5)), sizes)
+    scd = coarse_scd(g)
+    decades = draw(st.lists(st.integers(-12, 12), min_size=len(scd.components),
+                            max_size=len(scd.components)))
+    scale = [10.0 ** decades[scd.component_of(i) - 1] for i in range(1, g.num_vertices + 1)]
+    pts = sample_configuration(n, g.num_vertices, seed=draw(st.integers(0, 10**6))).agents
+    return g, Configuration.from_agents(pts * np.array(scale)[:, None])
+
+
+class TestMonotoneRank:
+    """A component reaches all its successors reach, so its rank is at least theirs."""
+
+    def test_border_source_inherits_the_sink_rank(self):
+        g, p = border_source_k4()
+        assert in_controllable_set(p, coarse_scd(g)).passes
+        rep = lie_algebra_at(p, g)
+        assert rep.per_agent_ranks == (2, 2, 2, 2, 2) and rep.passes
+        # ranked on its own, agent 1's reach set falls below the margin
+        assert configuration_rank(p, range(1, 6)) == 1
+
+    def test_witness_keeps_its_one_rank_rule_at_the_border(self):
+        # every face agent 1 could attach to is as ill conditioned as its reach set
+        g, p = border_source_k4()
+        with pytest.raises(StructuralFailure, match="agent 1 are numerically dependent"):
+            construct_witness_basis(p, g)
+        g, p = border_source_k4((1e2, 30.0))
+        assert len(construct_witness_basis(p, g).vectors) == 10
+
+    @given(sink_instances())
+    @settings(max_examples=120, deadline=None)
+    def test_membership_implies_larc(self, instance):
+        g, p = instance
+        assert structural_verdict(g, p.n).kind.value == "generically-controllable"
+        if in_controllable_set(p, coarse_scd(g)):
+            assert lie_algebra_at(p, g).passes
 
 
 class TestSufficiencyAndNecessity:
@@ -410,6 +458,41 @@ class TestWitnessMatchesPerAgentRanks:
         got = witness_outcome(construct_witness_basis, p, g)
         assert got == witness_outcome(witness_per_agent, p, g)
         assert got[0] is (StructuralFailure if far < huge else SizeMismatch)
+
+
+class TestTwoSinkRefusal:
+    """The first sink's refused simplex agent is named, whatever the second
+    sink's simplex search finds."""
+
+    L = 1e4   # agent 3 of sink 1 sits at (L, 1.5e-9 L^2): its own face misses the margin
+
+    def instance(self, second):
+        sink1 = [[0, 0], [1, 0], [self.L, 1.5e-9 * self.L ** 2], [0.3, 0.7]]
+        if second == "refused":     # a shifted copy of sink 1: its agent 7 is refused too
+            sink2 = [[x + 10, y + 10] for x, y in sink1]
+        else:                       # 100 agents whose greedy search stops at rank 1,
+            # though together they have rank 2
+            sink2 = [[10, 10], [11, 10]] + [[10, 10 + 5e-10]] * 100
+        pts = sink1 + sink2 + [[5, 5]]
+        N, m = len(pts), len(sink2)
+        cycle2 = [(5 + k, 5 + (k + 1) % m) for k in range(m)]
+        g = Digraph(N, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)] + cycle2 + [(N, 1), (N, 5)])
+        return g, Configuration.from_agents(pts)
+
+    @pytest.mark.parametrize("second", ["refused", "degenerate"])
+    def test_first_refused_simplex_agent_is_named(self, second):
+        g, p = self.instance(second)
+        assert in_controllable_set(p, coarse_scd(g)).passes
+        got = witness_outcome(construct_witness_basis, p, g)
+        assert got == (StructuralFailure, "witness fields of agent 3 are numerically dependent")
+        assert got == witness_outcome(witness_per_agent, p, g)
+
+    def test_degenerate_second_sink_alone_is_refused(self):
+        g, p = self.instance("degenerate")
+        pts = p.agents.copy()
+        pts[2] = [0, 1]             # sink 1 is now well conditioned
+        with pytest.raises(Degenerate, match="configuration rank 1 < n = 2"):
+            construct_witness_basis(Configuration.from_agents(pts), g)
 
 
 class TestWitnessOverflow:
