@@ -45,13 +45,13 @@ def run_trials(cfg: TrialConfig) -> None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = steer(g, p0, p1, cfg.segments, cfg.horizon,
-                           SteerOptions(tolerance=1e-6, seed=cfg.seed))
+                           SteerOptions(tolerance=1e-6))
         times.append(perf_counter() - t0)
         residuals.append(result.residual)
         iterations.append(result.iterations)
         flag = "ok" if result.residual <= cfg.success_residual else "MISS"
         print(f"trial {trial:>3}: residual {result.residual:.3e} "
-              f"iters {result.iterations:>3} start {result.start_index} "
+              f"iters {result.iterations:>3} segments {len(result.controls.values)} "
               f"{times[-1]:6.2f}s {flag}")
     residuals = np.array(residuals)
     hits = int((residuals <= cfg.success_residual).sum())

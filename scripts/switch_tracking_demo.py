@@ -57,7 +57,7 @@ def run(cfg: DemoConfig) -> None:
             (cfg.agents, 2))
 
     result = track_path(schedule, wps, cfg.epsilon,
-                        opts=TrackOptions(segments_per_leg=3, seed=cfg.seed))
+                        opts=TrackOptions(segments_per_leg=3))
     print(f"schedule: switch at t={cfg.switch_time}, horizon {cfg.horizon}")
     print(f"waypoints: {cfg.waypoints}, epsilon {cfg.epsilon}")
     for leg, res in enumerate(result.leg_residuals):

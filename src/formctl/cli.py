@@ -6,8 +6,8 @@ file problems to exit code 2; argparse refuses missing or conflicting
 options with exit code 2 before any handler runs. Commands that produce an
 artifact (a configuration, control schedule, or trajectory) print it to
 stdout, or write it to --out and print a short report instead. Reports echo
-the tolerances and seeds that were in effect. Each distinct warning a
-command raises goes to stderr once, as a "warning:" line.
+the tolerances that were in effect, and sample's the seed it drew with. Each
+distinct warning a command raises goes to stderr once, as a "warning:" line.
 """
 
 from __future__ import annotations
@@ -232,14 +232,12 @@ def _cmd_steer(args):
     g = load_graph(args.graph)
     p0 = load_configuration(args.config)
     p1 = load_configuration(args.target)
-    opts = SteerOptions(tolerance=args.steer_tol, seed=args.seed)
-    result = steer(g, p0, p1, args.segments, args.T, opts)
+    result = steer(g, p0, p1, args.segments, args.T, SteerOptions(tolerance=args.steer_tol))
     lines = [
-        f"steering: N={p0.N}, edges={len(g.edges)}, segments={args.segments}, "
-        f"T={args.T:g}",
-        f"seed: {args.seed}",
+        f"steering: N={p0.N}, edges={len(g.edges)}, "
+        f"segments={len(result.controls.values)}, T={args.T:g}",
         f"target residual: {args.steer_tol:g}",
-        f"residual: {result.residual:.3e} (start {result.start_index}, "
+        f"residual: {result.residual:.3e} (round {result.start_index}, "
         f"{result.iterations} iterations)",
         f"converged: {'yes' if result.residual <= args.steer_tol else 'no'}",
         f"no progress: {'yes' if result.no_progress else 'no'}",
@@ -252,15 +250,14 @@ def _cmd_track(args):
     base = os.path.dirname(os.path.abspath(args.waypoints))
     wps = parse_waypoints(_read(args.waypoints), base_dir=base)
     start = load_configuration(args.config) if args.config else None
-    opts = TrackOptions(segments_per_leg=args.segments, seed=args.seed)
-    result = track_path(schedule, wps, args.epsilon, start=start, opts=opts)
+    result = track_path(schedule, wps, args.epsilon, start=start,
+                        opts=TrackOptions(segments_per_leg=args.segments))
     if args.controls_out:
         with open(args.controls_out, "w", encoding="utf-8") as fh:
             fh.write(format_control_schedule_csv(result.controls))
     summary = "\n".join([
         f"tracking: {len(wps)} waypoints, epsilon={args.epsilon:g}, "
         f"segments per leg: {args.segments}",
-        f"seed: {args.seed}",
         "per-leg residuals: " +
         ", ".join(f"{r:.3e}" for r in result.leg_residuals),
         f"max deviation: {result.max_deviation:.3e}",
@@ -340,9 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=required,
                        help="configuration file (.json or .csv)")
 
-    def seed(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-
     def horizon(p):
         p.add_argument("--T", type=float, default=1.0, help="horizon")
 
@@ -354,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def segments(p, help_text):
         p.add_argument("--segments", type=int, default=TrackOptions.segments_per_leg,
-                       help=help_text)
+                       help=help_text + ", doubled, at most 3 times, while the search "
+                                        "misses the target residual")
 
     p = add("analyze", _cmd_analyze,
             "coarse strong component decomposition and verdict", ("json",))
@@ -381,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("sample", _cmd_sample, "draw a random configuration")
     p.add_argument("--format", choices=("json", "csv"),
                    help="artifact format (default: csv if --out ends in .csv, else json)")
-    seed(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--kind", choices=("uniform", "rank_k"), default="uniform")
@@ -396,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("steer", _cmd_steer, "two-point steering on a fixed graph")
     graph(p)
     config(p)
-    seed(p)
     p.add_argument("--target", required=True, help="target configuration file")
     segments(p, "steering segments")
     horizon(p)
@@ -406,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("track", _cmd_track, "track waypoints through a switching schedule")
     graph_or_schedule(p)
     config(p, required=False)
-    seed(p)
     p.add_argument("--waypoints", required=True, help="waypoint JSON file")
     p.add_argument("--epsilon", type=float, default=0.01)
     segments(p, "steering segments per leg")

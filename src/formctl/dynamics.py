@@ -7,7 +7,8 @@ ever formed, by one batched scaling-and-squaring Pade routine in numpy,
 which also gives the Frechet derivatives of the exponential when asked;
 simulate exponentiates all its sample intervals in one call. Steering
 composes these exact flows and solves the two-point problem by damped
-Gauss-Newton shooting on the stacked control values. The exact Jacobian
+Gauss-Newton shooting on the stacked control values, splitting every
+segment in two while it misses the target. The exact Jacobian
 comes in adjoint form, from the Frechet derivatives of each segment
 exponential along n N directions whatever the edge count, which share the
 segment's one Pade evaluation and one inverse of its denominator; every
@@ -416,27 +417,29 @@ def simulate(schedule: GraphSchedule, controls: ControlSchedule,
 
 # -- steering --------------------------------------------------------------
 
-# Gauss-Newton iterations per start, and starts per steer: the zero start
-# and then deterministic random restarts
+# Gauss-Newton iterations per round, and rounds per steer: the caller's
+# grid, then each segment split in two while the residual misses
 _MAX_ITERATIONS = 200
-_STARTS = 4
+_ROUNDS = 4
 
 
 @dataclass(frozen=True)
 class SteerOptions:
-    """Target residual (positive and finite) and restart seed (a Python int >= 0)."""
+    """Target residual, positive and finite."""
 
     tolerance: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         _check_positive("tolerance", self.tolerance)
-        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
 class SteerResult:
-    """Best controls found; states[k] is the configuration they reach at grid[k]."""
+    """Controls of the last round; states[k] is the configuration they reach at grid[k].
+
+    start_index is that round, 0 on the caller's grid, and
+    len(controls.values) the segment count it used.
+    """
 
     controls: ControlSchedule
     states: tuple[Configuration, ...]
@@ -524,15 +527,16 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
           T: float, opts: SteerOptions = SteerOptions()) -> SteerResult:
     """Find piecewise-constant controls driving p0 toward p1 over [0, T].
 
-    Single shooting over segments equal intervals: the unknowns are one
-    control value per (interval, edge), the objective the final-state
-    mismatch. Damped Gauss-Newton with the exact Jacobian of the shooting
-    map; a zero initialization first, then deterministic random restarts,
-    _STARTS starts in all, each of at most _MAX_ITERATIONS iterations. The
-    first start reaching the tolerance wins; otherwise the best residual
-    does, ties to the earlier start. A stalled start (no accepted step, or
-    a last improvement below 1e-14, with the residual still above
-    tolerance) is reported, not raised.
+    Single shooting over equal intervals: the unknowns are one control
+    value per (interval, edge), the objective the final-state mismatch.
+    Damped Gauss-Newton with the exact Jacobian of the shooting map, at most
+    _MAX_ITERATIONS iterations per round, from zero controls on the caller's
+    segments. While the residual is above the tolerance, up to _ROUNDS
+    rounds in all, every segment is split in two and the search goes on
+    from the same controls, repeated on the finer grid, so each round starts
+    where the last ended. The last round's result is returned. A stalled
+    round (no accepted step, or a last improvement below 1e-14, with the
+    residual still above tolerance) is reported, not raised.
     """
     _check_positive("horizon", T)
     _check_count("segments", segments, 2)
@@ -547,30 +551,23 @@ def steer(g: Digraph, p0: Configuration, p1: Configuration, segments: int,
                           "graph; steering may stall", stacklevel=2)
 
     edges = sorted(g.edges)
-    dim = segments * len(edges)
-    shooting = _ShootingMap(g, p0.coords.reshape(p0.n, p0.N), segments, T / segments)
+    x0 = p0.coords.reshape(p0.n, p0.N)
     target = p1.coords.reshape(p1.n, p1.N)
-
-    best = None
-    for start in range(_STARTS):
-        if start == 0:
-            theta = np.zeros(dim)
-        else:
-            rng = np.random.default_rng((opts.seed, start))
-            theta = rng.uniform(-0.5, 0.5, size=dim)
-        theta, states, res, iters, stalled = _gauss_newton(shooting, target, theta, opts.tolerance)
-        if best is None or res < best[0]:
-            best = (res, start, theta, states, iters, stalled)
+    theta = np.zeros((segments, len(edges)))
+    for round_ in range(_ROUNDS):
+        if round_:
+            theta = np.repeat(theta, 2, axis=0)
+        S = len(theta)
+        theta, states, res, iters, stalled = _gauss_newton(
+            _ShootingMap(g, x0, S, T / S), target, theta.reshape(-1), opts.tolerance)
+        theta = theta.reshape(S, -1)
         if res <= opts.tolerance:
             break
 
-    res, start, theta, states, iters, stalled = best
-    grid = tuple(k * T / segments for k in range(segments)) + (T,)
-    values = tuple(
-        dict(zip(edges, map(float, theta[s * len(edges):(s + 1) * len(edges)])))
-        for s in range(segments))
+    grid = tuple(k * T / S for k in range(S)) + (T,)
+    values = tuple(dict(zip(edges, map(float, row))) for row in theta)
     achieved = tuple(Configuration(p0.n, p0.N, x) for x in states)
-    return SteerResult(ControlSchedule(grid, values), achieved, float(res), start,
+    return SteerResult(ControlSchedule(grid, values), achieved, float(res), round_,
                        iters, stalled)
 
 
@@ -647,15 +644,13 @@ def _evaluate(shooting: _ShootingMap, target: np.ndarray, theta: np.ndarray,
 
 @dataclass(frozen=True)
 class TrackOptions:
-    """Steering segments per leg, a Python int >= 2, and the seed of each leg's
-    random restarts, a Python int >= 0; each leg steers to tolerance epsilon/2."""
+    """Steering segments each leg starts from, a Python int >= 2; each leg
+    steers to tolerance epsilon/2."""
 
     segments_per_leg: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         _check_count("segments_per_leg", self.segments_per_leg, 2)
-        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -720,7 +715,7 @@ def track_path(schedule: GraphSchedule,
     values: list[dict[tuple[int, int], float]] = []
     states = [current]
     leg_residuals = []
-    steer_opts = SteerOptions(epsilon / 2, opts.seed)
+    steer_opts = SteerOptions(epsilon / 2)
     for leg, ((t_a, _), (t_b, p_target)) in enumerate(zip(wps, wps[1:])):
         result = steer(schedule.active(t_a), current, p_target, opts.segments_per_leg,
                        t_b - t_a, steer_opts)

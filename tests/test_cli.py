@@ -342,6 +342,27 @@ class TestSteerSimulateTrack:
         assert printed.stderr == written.stderr == warning
         assert "steering:" in written.stdout and "warning:" not in written.stdout
 
+    def test_steer_report_names_the_grid_it_used(self, workdir):
+        # the directed cycle C5 misses this target on 6 segments and reaches
+        # it on 12, in the first refinement round
+        (workdir / "c5.txt").write_text("N 5\n1 2\n2 3\n3 4\n4 5\n5 1\n")
+        rng = np.random.default_rng(13)
+        for name in ("c5_p0.json", "c5_p1.json"):
+            (workdir / name).write_text(json.dumps(
+                {"n": 2, "N": 5, "agents": rng.standard_normal((5, 2)).tolist()}))
+        controls = workdir / "u.csv"
+        code, out, _ = invoke("steer", "--graph", workdir / "c5.txt",
+                              "--config", workdir / "c5_p0.json",
+                              "--target", workdir / "c5_p1.json",
+                              "--segments", 6, "--T", 1.0, "--out", controls)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "steering: N=5, edges=5, segments=12, T=1"
+        assert "(round 1, " in lines[2]
+        assert "converged: yes" in lines
+        assert not any(line.startswith("seed") for line in lines)
+        assert len(parse_control_schedule_csv(controls.read_text()).values) == 12
+
     def test_simulate_step_too_large_is_domain_error(self, workdir):
         controls, _ = self.steer_controls(workdir, 2)
         code, _, err = invoke("simulate", "--graph", workdir / "k5.txt",
@@ -611,30 +632,15 @@ class TestHorizonExitCode:
 
 
 class TestRefusedByTheTypeBuilt:
-    """A seed and a configuration file are refused by the type they become,
-    with one error: line and nothing on stdout."""
+    """A configuration file is refused by the type it becomes, with one
+    error: line and nothing on stdout."""
 
     @pytest.fixture
     def files(self, tmp_path):
         (tmp_path / "k4.txt").write_text(format_graph_text(Digraph.complete(4)))
-        # a collinear start: the zero start stalls, so a seeded restart is drawn
-        (tmp_path / "line.json").write_text(json.dumps(
-            {"n": 2, "N": 4, "agents": [[0, 0], [1, 0], [2, 0], [3, 0]]}))
         (tmp_path / "target.json").write_text(
             format_configuration_json(sample_configuration(2, 4, seed=2)))
         return tmp_path
-
-    @pytest.mark.parametrize("command", ["steer", "track"])
-    def test_bad_seed_exits_1(self, files, command):
-        (files / "wps.json").write_text(json.dumps(
-            [{"t": 0, "config": "line.json"}, {"t": 1, "config": "target.json"}]))
-        inputs = {"steer": ["--config", "line.json", "--target", "target.json",
-                            "--segments", "3"],
-                  "track": ["--waypoints", "wps.json"]}[command]
-        proc = fresh_python("-m", "formctl.cli", command, "--graph", "k4.txt", *inputs,
-                            "--T", "1.0", "--seed", "-1", cwd=files)
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr.splitlines() == ["error: seed must be a Python int >= 0, got -1"]
 
     @pytest.mark.parametrize("config", [
         {"n": 0, "N": 1, "agents": [[]]},
