@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import random
-from dataclasses import dataclass
 from time import perf_counter
 
 from formctl.digraph import Digraph, transitive_closure
@@ -32,15 +31,7 @@ def random_connected_digraph(rng: random.Random, n: int, extra: float = 0.3) -> 
     return Digraph(n, edges)
 
 
-@dataclass
-class SurveyConfig:
-    graphs_per_size: int = 50
-    min_vertices: int = 3
-    max_vertices: int = 8
-    seed: int = 0
-
-
-def survey(cfg: SurveyConfig) -> None:
+def survey(cfg: argparse.Namespace) -> None:
     rng = random.Random(cfg.seed)
     print(f"{'N':>3} {'graphs':>7} {'agree':>6} {'mean dim':>9} "
           f"{'mean edges':>11} {'secs':>7}")
@@ -72,9 +63,7 @@ def main() -> None:
     parser.add_argument("--min-vertices", type=int, default=3)
     parser.add_argument("--max-vertices", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    survey(SurveyConfig(args.graphs_per_size, args.min_vertices,
-                        args.max_vertices, args.seed))
+    survey(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import warnings
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -19,18 +18,7 @@ from formctl.digraph import Digraph
 from formctl.dynamics import SteerOptions, steer
 
 
-@dataclass
-class TrialConfig:
-    agents: int = 5
-    dimension: int = 2
-    trials: int = 20
-    segments: int = 6
-    horizon: float = 1.0
-    success_residual: float = 1e-3
-    seed: int = 0
-
-
-def run_trials(cfg: TrialConfig) -> None:
+def run_trials(cfg: argparse.Namespace) -> None:
     g = Digraph.complete(cfg.agents)
     residuals = []
     iterations = []
@@ -70,10 +58,7 @@ def main() -> None:
     parser.add_argument("--horizon", type=float, default=1.0)
     parser.add_argument("--success-residual", type=float, default=1e-3)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    run_trials(TrialConfig(args.agents, args.dimension, args.trials,
-                           args.segments, args.horizon,
-                           args.success_residual, args.seed))
+    run_trials(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ the planned controls and the sampled trajectory as CSV.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +23,7 @@ from formctl.dynamics import (
 )
 
 
-@dataclass
-class DemoConfig:
-    agents: int = 5
-    waypoints: int = 10
-    horizon: float = 0.9
-    switch_time: float = 0.4
-    epsilon: float = 0.05
-    drift: float = 0.08
-    seed: int = 0
-    trajectory_out: str | None = None
-    controls_out: str | None = None
-
-
-def run(cfg: DemoConfig) -> None:
+def run(cfg: argparse.Namespace) -> None:
     full = Digraph.complete(cfg.agents)
     pruned = Digraph(cfg.agents, [e for e in full.edges if e != (1, 2)])
     schedule = GraphSchedule(((0.0, full), (cfg.switch_time, pruned)),
@@ -85,10 +71,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trajectory-out")
     parser.add_argument("--controls-out")
-    args = parser.parse_args()
-    run(DemoConfig(args.agents, args.waypoints, args.horizon,
-                   args.switch_time, args.epsilon, args.drift, args.seed,
-                   args.trajectory_out, args.controls_out))
+    run(parser.parse_args())
 
 
 if __name__ == "__main__":

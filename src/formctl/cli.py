@@ -3,9 +3,14 @@
 main() parses argv and hands the namespace to run(), which calls the
 subcommand's handler and maps domain failures to exit code 1 and input or
 file problems to exit code 2; argparse refuses missing or conflicting
-options with exit code 2 before any handler runs. Commands that produce an
-artifact (a configuration, control schedule, or trajectory) print it to
-stdout, or write it to --out and print a short report instead. Reports echo
+options with exit code 2 before any handler runs. A handler returns a text
+report and, for a command that makes one, an artifact (a configuration,
+control schedule, or trajectory). The output is the artifact if there is
+one, else the report; it goes to stdout, or to --out, and beside a saved
+artifact the report is printed. analyze, closure, larc and chart build one
+record of (JSON key, value, text line) entries, so their --format json
+report holds the text report's fields in the same order; a field that the
+text folds into another field's line has no line of its own. Reports echo
 the tolerances that were in effect, and sample's the seed it drew with. Each
 distinct warning a command raises goes to stderr once, as a "warning:" line.
 """
@@ -63,44 +68,47 @@ def _load_schedule(args) -> GraphSchedule:
     return parse_graph_schedule(_read(args.schedule), args.T, base_dir=base)
 
 
-def _components_lines(report) -> list[str]:
-    lines = [f"components: {len(report.components)}"]
-    for label, comp in enumerate(report.components, start=1):
-        lines.append(f"  {label}: {{{', '.join(map(str, comp))}}}")
-    return lines
+def _listed(values) -> str:
+    return ", ".join(map(str, values))
+
+
+def _report(args, record):
+    """The JSON object of a record's keys and values, or its text lines in order."""
+    if args.format == "json":
+        return json.dumps({key: value for key, value, _ in record}, indent=2), None
+    return "\n".join(line for _, _, line in record if line is not None), None
+
+
+def _shape(p) -> list:
+    return [("n", p.n, f"configuration: n={p.n}, N={p.N}"), ("N", p.N, None)]
 
 
 def _cmd_analyze(args):
     g = load_graph(args.graph)
     report = coarse_scd(g)
-    skeleton = report.skeleton
+    components = [list(c) for c in report.components]
+    skeleton = sorted(report.skeleton.edges)
     maximal = sorted(report.maximal_set)
-    if args.format == "json":
-        payload = {
-            "vertices": g.num_vertices,
-            "edges": sorted(g.edges),
-            "components": [list(c) for c in report.components],
-            "skeleton_edges": sorted(skeleton.edges),
-            "maximal_components": maximal,
-        }
-        if args.n is not None:
-            verdict = structural_verdict(g, args.n)
-            payload["n"] = args.n
-            payload["verdict"] = verdict.kind.value
-            payload["offending_components"] = list(verdict.offending_components)
-        return json.dumps(payload, indent=2), None
-    lines = [f"graph: {g.num_vertices} vertices, {len(g.edges)} edges"]
-    lines.extend(_components_lines(report))
-    lines.append("skeleton edges: " +
-                 (", ".join(f"{a}->{b}" for a, b in sorted(skeleton.edges)) or "none"))
-    lines.append("maximal components: " + ", ".join(map(str, maximal)))
+    record = [
+        ("vertices", g.num_vertices, f"graph: {g.num_vertices} vertices, {len(g.edges)} edges"),
+        ("edges", sorted(g.edges), None),
+        ("components", components, "\n".join(
+            [f"components: {len(components)}"] +
+            [f"  {label}: {{{_listed(c)}}}" for label, c in enumerate(components, 1)])),
+        ("skeleton_edges", skeleton, "skeleton edges: " +
+         (", ".join(f"{a}->{b}" for a, b in skeleton) or "none")),
+        ("maximal_components", maximal, "maximal components: " + _listed(maximal)),
+    ]
     if args.n is not None:
         verdict = structural_verdict(g, args.n)
-        lines.append(f"verdict (n={args.n}): {verdict.kind.value}")
-        if verdict.offending_components:
-            lines.append("offending components: " +
-                         ", ".join(map(str, verdict.offending_components)))
-    return "\n".join(lines), None
+        offending = list(verdict.offending_components)
+        record += [
+            ("n", args.n, None),
+            ("verdict", verdict.kind.value, f"verdict (n={args.n}): {verdict.kind.value}"),
+            ("offending_components", offending,
+             "offending components: " + _listed(offending) if offending else None),
+        ]
+    return _report(args, record)
 
 
 def _cmd_closure(args):
@@ -110,22 +118,12 @@ def _cmd_closure(args):
     closed_basis = LieBasis(g.num_vertices,
                             (e.dense() for e in edge_generators(closed)))
     match = span_equal(basis, closed_basis)
-    verdict = "PASS" if match else "FAIL"
-    if args.format == "json":
-        payload = {
-            "generators": len(g.edges),
-            "closure_edges": len(closed.edges),
-            "closure_dimension": basis.dimension,
-            "span_match": match,
-        }
-        return json.dumps(payload, indent=2), None
-    lines = [
-        f"generators: {len(g.edges)}",
-        f"closure edges: {len(closed.edges)}",
-        f"closure dimension: {basis.dimension}",
-        f"span match: {verdict}",
-    ]
-    return "\n".join(lines), None
+    return _report(args, [
+        ("generators", len(g.edges), f"generators: {len(g.edges)}"),
+        ("closure_edges", len(closed.edges), f"closure edges: {len(closed.edges)}"),
+        ("closure_dimension", basis.dimension, f"closure dimension: {basis.dimension}"),
+        ("span_match", match, f"span match: {'PASS' if match else 'FAIL'}"),
+    ])
 
 
 def _cmd_larc(args):
@@ -133,33 +131,22 @@ def _cmd_larc(args):
     p = load_configuration(args.config)
     report = lie_algebra_at(p, g)
     verdict = "PASS" if report.passes else "FAIL"
-    if args.format == "json":
-        payload = {
-            "n": p.n,
-            "N": p.N,
-            "rank_tolerance": RANK_TOL,
-            "closure_edges": report.closure_edge_count,
-            "per_agent_ranks": list(report.per_agent_ranks),
-            "dim": report.dimension,
-            "required": report.required,
-            "passes": report.passes,
-        }
-        return json.dumps(payload, indent=2), None
-    lines = [
-        f"configuration: n={p.n}, N={p.N}",
-        f"rank tolerance: {RANK_TOL:g}",
-        f"closure edges: {report.closure_edge_count}",
-        "per-agent ranks: " + ", ".join(map(str, report.per_agent_ranks)),
-        f"dim {report.dimension} / {report.required}: {verdict}",
-    ]
-    return "\n".join(lines), None
+    return _report(args, _shape(p) + [
+        ("rank_tolerance", RANK_TOL, f"rank tolerance: {RANK_TOL:g}"),
+        ("closure_edges", report.closure_edge_count,
+         f"closure edges: {report.closure_edge_count}"),
+        ("per_agent_ranks", list(report.per_agent_ranks),
+         "per-agent ranks: " + _listed(report.per_agent_ranks)),
+        ("dim", report.dimension, None),
+        ("required", report.required, None),
+        ("passes", report.passes, f"dim {report.dimension} / {report.required}: {verdict}"),
+    ])
 
 
 def _cmd_witness(args):
     g = load_graph(args.graph)
     p = load_configuration(args.config)
     basis = construct_witness_basis(p, g)
-    csv_text = format_witness_csv(basis)
     required = p.n * p.N
     summary = "\n".join([
         f"configuration: n={p.n}, N={p.N}",
@@ -167,9 +154,8 @@ def _cmd_witness(args):
         f"witness vectors: {len(basis.vectors)}",
         f"witness rank {required} / {required}: PASS",
     ])
-    if args.format == "csv" or args.out:
-        return summary, csv_text
-    return summary, None
+    return summary, (format_witness_csv(basis)
+                     if args.format == "csv" or args.out else None)
 
 
 def _cmd_chart(args):
@@ -178,29 +164,16 @@ def _cmd_chart(args):
     chart = local_chart(p, k)
     v = chart.forward(p)
     err = float(np.max(np.abs(chart.inverse(v).coords - p.coords)))
-    forced = chart.forced_zero_indices
-    if args.format == "json":
-        payload = {
-            "n": p.n,
-            "N": p.N,
-            "stratum": k,
-            "chart_dimension": v.size - len(forced),
-            "chosen_agents": list(chart.index_choice),
-            "forced_zero_count": len(forced),
-            "round_trip_error": err,
-            "rank_tolerance": RANK_TOL,
-        }
-        return json.dumps(payload, indent=2), None
-    lines = [
-        f"configuration: n={p.n}, N={p.N}",
-        f"stratum k: {k}",
-        f"chart dimension: {v.size - len(forced)}",
-        "chosen agents: " + ", ".join(map(str, chart.index_choice)),
-        f"forced zeros: {len(forced)}",
-        f"round-trip error: {err:.3e}",
-        f"rank tolerance: {RANK_TOL:g}",
-    ]
-    return "\n".join(lines), None
+    forced = len(chart.forced_zero_indices)
+    return _report(args, _shape(p) + [
+        ("stratum", k, f"stratum k: {k}"),
+        ("chart_dimension", v.size - forced, f"chart dimension: {v.size - forced}"),
+        ("chosen_agents", list(chart.index_choice),
+         "chosen agents: " + _listed(chart.index_choice)),
+        ("forced_zero_count", forced, f"forced zeros: {forced}"),
+        ("round_trip_error", err, f"round-trip error: {err:.3e}"),
+        ("rank_tolerance", RANK_TOL, f"rank tolerance: {RANK_TOL:g}"),
+    ])
 
 
 def _cmd_sample(args):
@@ -256,11 +229,10 @@ def _cmd_track(args):
         with open(args.controls_out, "w", encoding="utf-8") as fh:
             fh.write(format_control_schedule_csv(result.controls))
     summary = "\n".join([
-        f"tracking: {len(wps)} waypoints, epsilon={args.epsilon:g}, "
-        f"segments per leg: {args.segments}",
-        "per-leg residuals: " +
-        ", ".join(f"{r:.3e}" for r in result.leg_residuals),
-        f"max deviation: {result.max_deviation:.3e}",
+        f"tracking: {len(wps)} waypoints, epsilon={args.epsilon:g}",
+        f"segments: {len(result.controls.values)}",
+        "per-leg residuals: " + ", ".join(f"{r:.3e}" for r in result.leg_residuals),
+        f"max deviation at waypoints: {result.max_deviation:.3e}",
     ])
     return summary, format_trajectory_csv(result.trajectory)
 
@@ -286,19 +258,15 @@ def run(args: argparse.Namespace, stdout=None, stderr=None) -> int:
                 report, artifact = args.handler(args)
         finally:
             _show_warnings(caught, stderr)
-        if artifact is None:
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(report if report.endswith("\n") else report + "\n")
-            else:
-                print(report, file=stdout)
+        output = report if artifact is None else artifact
+        output += "" if output.endswith("\n") else "\n"
+        if not args.out:
+            stdout.write(output)
         else:
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(artifact)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+            if artifact is not None:
                 print(report, file=stdout)
-            else:
-                print(artifact, file=stdout, end="" if artifact.endswith("\n") else "\n")
     except InputFormatError as exc:
         print(f"error: {exc}", file=stderr)
         return 2

@@ -855,7 +855,6 @@ def format_trajectory_csv(traj: Trajectory) -> str:
     header = "t,agent," + ",".join(f"x{d}" for d in range(1, n + 1))
     lines = [header]
     for t, state in zip(traj.times, traj.states):
-        for i in range(1, state.N + 1):
-            coords = ",".join(_fmt(c) for c in state.agent(i))
-            lines.append(f"{_fmt(t)},{i},{coords}")
+        for i, row in enumerate(state.agents.tolist(), 1):
+            lines.append(f"{_fmt(t)},{i}," + ",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"

@@ -397,6 +397,26 @@ class TestSteerSimulateTrack:
         assert len(parse_control_schedule_csv(
             controls_file.read_text()).values) == 8
 
+    def test_track_report_names_the_segments_the_controls_hold(self, workdir):
+        # the C5 target of test_steer_report_names_the_grid_it_used as one leg:
+        # 6 segments per leg miss it, and the leg refines to 12
+        (workdir / "c5.txt").write_text("N 5\n1 2\n2 3\n3 4\n4 5\n5 1\n")
+        rng = np.random.default_rng(13)
+        wps = [{"t": t, "config": {"n": 2, "N": 5, "agents": rng.standard_normal((5, 2)).tolist()}}
+               for t in (0.0, 1.0)]
+        (workdir / "wps.json").write_text(json.dumps(wps))
+        controls = workdir / "tu.csv"
+        code, out, _ = invoke("track", "--graph", workdir / "c5.txt", "--T", 1.0,
+                              "--waypoints", workdir / "wps.json", "--epsilon", 2e-8,
+                              "--segments", 6, "--out", workdir / "traj.csv",
+                              "--controls-out", controls)
+        assert code == 0
+        lines = out.splitlines()
+        assert "segments: 12" in lines
+        assert not any("per leg" in line for line in lines)
+        assert any(line.startswith("max deviation at waypoints: ") for line in lines)
+        assert len(parse_control_schedule_csv(controls.read_text()).values) == 12
+
     def test_track_missing_waypoints_flag(self, workdir):
         code, err = refused("track", "--graph", workdir / "k5.txt", "--T", 1.0)
         assert code == 2
@@ -445,6 +465,88 @@ class TestFormats:
                             "--config", workdir / "p0.json", "--format", "json")
         assert code == 2
         assert "--format" in err
+
+
+def listed(values):
+    return ", ".join(map(str, values))
+
+
+def text_report(command, r):
+    """The text lines of a report, built from its JSON values (README, Command line)."""
+    if command == "analyze":
+        lines = [f"graph: {r['vertices']} vertices, {len(r['edges'])} edges",
+                 f"components: {len(r['components'])}",
+                 *(f"  {k}: {{{listed(c)}}}" for k, c in enumerate(r["components"], 1)),
+                 "skeleton edges: " + (", ".join(f"{a}->{b}" for a, b in r["skeleton_edges"])
+                                       or "none"),
+                 f"maximal components: {listed(r['maximal_components'])}"]
+        if "n" in r:
+            lines.append(f"verdict (n={r['n']}): {r['verdict']}")
+            if r["offending_components"]:
+                lines.append(f"offending components: {listed(r['offending_components'])}")
+        return lines
+    if command == "closure":
+        return [f"generators: {r['generators']}",
+                f"closure edges: {r['closure_edges']}",
+                f"closure dimension: {r['closure_dimension']}",
+                f"span match: {'PASS' if r['span_match'] else 'FAIL'}"]
+    shape = f"configuration: n={r['n']}, N={r['N']}"
+    tolerance = f"rank tolerance: {r['rank_tolerance']:g}"
+    if command == "larc":
+        return [shape, tolerance,
+                f"closure edges: {r['closure_edges']}",
+                f"per-agent ranks: {listed(r['per_agent_ranks'])}",
+                f"dim {r['dim']} / {r['required']}: {'PASS' if r['passes'] else 'FAIL'}"]
+    return [shape,
+            f"stratum k: {r['stratum']}",
+            f"chart dimension: {r['chart_dimension']}",
+            f"chosen agents: {listed(r['chosen_agents'])}",
+            f"forced zeros: {r['forced_zero_count']}",
+            f"round-trip error: {r['round_trip_error']:.3e}",
+            tolerance]
+
+
+REPORT_KEYS = {
+    "analyze": ["vertices", "edges", "components", "skeleton_edges", "maximal_components"],
+    "closure": ["generators", "closure_edges", "closure_dimension", "span_match"],
+    "larc": ["n", "N", "rank_tolerance", "closure_edges", "per_agent_ranks", "dim",
+             "required", "passes"],
+    "chart": ["n", "N", "stratum", "chart_dimension", "chosen_agents", "forced_zero_count",
+              "round_trip_error", "rank_tolerance"],
+}
+
+
+class TestReportForms:
+    """The text report and the JSON report of one command hold the same fields."""
+
+    @pytest.fixture
+    def files(self, workdir):
+        (workdir / "flat.json").write_text(json.dumps(
+            {"n": 2, "N": 5, "agents": [[1.0, 1.0]] * 5}))
+        (workdir / "line.json").write_text(format_configuration_json(
+            sample_configuration(2, 4, kind="rank_k", k=1, seed=5)))
+        return workdir
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--graph", "two.txt"],
+        ["analyze", "--graph", "two.txt", "--n", "2"],
+        ["analyze", "--graph", "ring.txt", "--n", "2"],
+        ["analyze", "--graph", "k5.txt", "--n", "2"],
+        ["closure", "--graph", "two.txt"],
+        ["larc", "--graph", "k5.txt", "--config", "p0.json"],
+        ["larc", "--graph", "k5.txt", "--config", "flat.json"],
+        ["chart", "--config", "p0.json"],
+        ["chart", "--config", "line.json", "--k", "1"],
+    ], ids=" ".join)
+    def test_text_holds_the_json_fields(self, files, argv):
+        argv = [files / a if a.endswith((".txt", ".json")) else a for a in argv]
+        code, text, _ = invoke(*argv)
+        json_code, out, _ = invoke(*argv, "--format", "json")
+        assert code == json_code == 0
+        report = json.loads(out)
+        with_n = ["n", "verdict", "offending_components"] if "--n" in argv else []
+        assert list(report) == REPORT_KEYS[argv[0]] + with_n
+        assert text.splitlines() == text_report(argv[0], report)
 
 
 class TestEntryPoint:
