@@ -6,7 +6,7 @@ certificates, and plans controls. Submodules:
 
 - digraph: graphs, strong component structure, transitive closure
 - liealg: exact integer Lie algebra of zero row-sum matrices
-- configspace: configurations, rank strata, charts, affine geometry
+- configspace: configurations, rank strata, charts, simplices
 - larc: the rank condition at a configuration and witness bases
 - dynamics: flows, simulation, steering, waypoint tracking
 - cli: the formctl command line front end
@@ -17,12 +17,9 @@ The names imported below are the package's public API.
 from . import errors
 from .configspace import (
     RANK_TOL,
-    AffineSubspace,
     Configuration,
     ControllableSetMembership,
     StratumChart,
-    affine_hull,
-    component_sign,
     configuration_rank,
     extend_simplex_with_point,
     find_nondegenerate_simplex,
@@ -30,7 +27,6 @@ from .configspace import (
     load_configuration,
     local_chart,
     sample_configuration,
-    subspace_distance,
 )
 from .digraph import (
     Digraph,

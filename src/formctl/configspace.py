@@ -1,4 +1,4 @@
-"""Configurations of N agents in R^n: ranks, strata, charts, and hulls.
+"""Configurations of N agents in R^n: ranks, strata, charts, and simplices.
 
 A configuration stores its coordinates coordinate-major (all first
 coordinates, then all second coordinates, ...), which is the layout the
@@ -6,10 +6,10 @@ lifted dynamics act on. File formats and the ``agents`` accessor are
 agent-major; the two layouts differ by a fixed index permutation.
 
 One rule decides every numeric rank in the package: count the singular
-values above RANK_TOL times the largest one (``_rank_of``). Configuration
-and control-field ranks and affine hulls all use it, and no caller can
-change RANK_TOL. There is no other threshold: a stratum chart solves in one
-frame, and a singular frame is an error (Degenerate). (Lie closure
+values above RANK_TOL times the largest one (``_rank_of``). Configuration,
+control-field, simplex and face ranks all use it, and no caller can change
+RANK_TOL. There is no other threshold: a stratum chart solves in one frame,
+and a singular frame is an error (Degenerate). (Lie closure
 dimensions are exact integer ranks.) A configuration keeps each subset
 rank it has taken, so membership, LARC and the witness share one SVD per
 maximal component.
@@ -29,8 +29,6 @@ import numpy as np
 from .digraph import ScdReport
 from .errors import (
     Degenerate,
-    DimensionMismatch,
-    EmptyInput,
     EmptySubset,
     IndexOutOfRange,
     InputFormatError,
@@ -51,10 +49,6 @@ __all__ = [
     "local_chart",
     "find_nondegenerate_simplex",
     "extend_simplex_with_point",
-    "AffineSubspace",
-    "affine_hull",
-    "subspace_distance",
-    "component_sign",
     "sample_configuration",
     "parse_configuration_json",
     "format_configuration_json",
@@ -134,11 +128,6 @@ class Configuration:
     def agents(self) -> np.ndarray:
         """(N, n) array, one agent per row."""
         return self.coords.reshape(self.n, self.N).T
-
-    def agent(self, i: int) -> np.ndarray:
-        """Position of agent i (1-based)."""
-        _agent_indices(self, (i,))
-        return self.coords[np.arange(self.n) * self.N + (i - 1)].copy()
 
     def subconfiguration(self, indices: Iterable[int]) -> "Configuration":
         """Configuration of the listed agents (1-based, ascending)."""
@@ -443,93 +432,6 @@ def extend_simplex_with_point(simplex: Configuration, x) -> tuple[int, ...]:
     if drop == 0:
         raise SimplexDegenerate("no leave-one-out choice is non-degenerate")
     return tuple(k for k in range(1, n + 2) if k != drop)
-
-
-# -- affine subspaces ------------------------------------------------------
-
-class AffineSubspace:
-    """Affine subspace base_point + span(basis); basis columns orthonormal."""
-
-    __slots__ = ("base_point", "basis")
-
-    def __init__(self, base_point, basis):
-        bp = np.asarray(base_point, dtype=float).reshape(-1).copy()
-        bs = np.asarray(basis, dtype=float)
-        if bs.size == 0:
-            bs = np.zeros((bp.size, 0))
-        if bs.ndim != 2 or bs.shape[0] != bp.size:
-            raise DimensionMismatch(
-                f"basis shape {bs.shape} does not match ambient dimension {bp.size}")
-        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(bs))):
-            raise SizeMismatch("coordinates must be finite")
-        gram = bs.T @ bs
-        if not np.allclose(gram, np.eye(bs.shape[1]), atol=1e-8):
-            raise DimensionMismatch("basis columns must be orthonormal")
-        bs = bs.copy()
-        bp.setflags(write=False)
-        bs.setflags(write=False)
-        object.__setattr__(self, "base_point", bp)
-        object.__setattr__(self, "basis", bs)
-
-    @property
-    def ambient(self) -> int:
-        return self.base_point.size
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def project(self, x) -> np.ndarray:
-        """Closest point of the subspace to x."""
-        d = np.asarray(x, dtype=float).reshape(-1) - self.base_point
-        return self.base_point + self.basis @ (self.basis.T @ d)
-
-    def distance(self, x) -> float:
-        return float(np.linalg.norm(np.asarray(x, dtype=float).reshape(-1)
-                                    - self.project(x)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSubspace is immutable")
-
-    def __repr__(self) -> str:
-        return f"AffineSubspace(ambient={self.ambient}, dim={self.dim})"
-
-
-def affine_hull(points: Sequence) -> AffineSubspace:
-    """Smallest affine subspace containing the points."""
-    pts = [np.asarray(q, dtype=float).reshape(-1) for q in points]
-    if not pts:
-        raise EmptyInput("affine_hull needs at least one point")
-    base = pts[0]
-    if len(pts) == 1:
-        return AffineSubspace(base, np.zeros((base.size, 0)))
-    diffs = np.column_stack([q - base for q in pts[1:]])
-    # checked first: LAPACK's SVD with vectors can loop forever on inf entries
-    if not np.all(np.isfinite(diffs)):
-        raise SizeMismatch("coordinates must be finite")
-    u, s, _ = np.linalg.svd(diffs, full_matrices=False)
-    return AffineSubspace(base, u[:, :_rank_of(s)])
-
-
-def subspace_distance(a: AffineSubspace, b: AffineSubspace) -> float:
-    """Zero iff the subspaces coincide: compares projectors and base points."""
-    if a.ambient != b.ambient:
-        raise DimensionMismatch(f"ambient dimensions differ: {a.ambient} vs {b.ambient}")
-    pa = a.basis @ a.basis.T
-    pb = b.basis @ b.basis.T
-    gap = float(np.linalg.norm(pa - pb, 2)) if pa.size else 0.0
-    return max(gap, a.distance(b.base_point), b.distance(a.base_point))
-
-
-def component_sign(p_sub: Configuration) -> int:
-    """Orientation sign of an (n+1)-agent non-degenerate configuration."""
-    n = p_sub.n
-    if p_sub.N != n + 1:
-        raise SizeMismatch(f"need N = n+1 = {n + 1} agents, got {p_sub.N}")
-    if configuration_rank(p_sub) != n:
-        raise Degenerate("configuration is degenerate; sign undefined")
-    det = float(np.linalg.det(_difference_matrix(p_sub, list(range(1, n + 2)))))
-    return 1 if det > 0 else -1
 
 
 def sample_configuration(n: int, N: int, kind: str = "uniform", *,

@@ -76,19 +76,10 @@ class Digraph:
             raise InvalidIndices(f"each edge must be an (i, j) tuple of ints: {exc}") from None
         self.num_vertices = n
 
-    # Digraph.complete / cycle / path cover the constructions used in tests
-    # and examples without each caller re-deriving the edge sets.
     @classmethod
     def complete(cls, n: int) -> "Digraph":
+        """The complete digraph K_n: every ordered pair of distinct vertices."""
         return cls(n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
-
-    @classmethod
-    def cycle(cls, n: int) -> "Digraph":
-        return cls(n, [(i, i % n + 1) for i in range(1, n + 1)])
-
-    @classmethod
-    def path(cls, n: int) -> "Digraph":
-        return cls(n, [(i, i + 1) for i in range(1, n)])
 
     @_cached
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -236,12 +227,6 @@ class ScdReport:
             for v in comp:
                 owner[v] = label
         return owner
-
-    def component_of(self, vertex: int) -> int:
-        """1-based label of the component containing ``vertex``."""
-        if type(vertex) is not int or not 1 <= vertex <= self.num_vertices:
-            raise InvalidIndices(f"vertex {vertex!r} is not a Python int in 1..{self.num_vertices}")
-        return self._owner[vertex]
 
     @_cached
     def reach(self) -> tuple[tuple[int, ...], ...]:

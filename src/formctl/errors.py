@@ -64,10 +64,6 @@ class SimplexDegenerate(DomainError):
     pass
 
 
-class EmptyInput(DomainError):
-    pass
-
-
 class DimensionMismatch(DomainError):
     pass
 

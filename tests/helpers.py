@@ -2,7 +2,11 @@
 
 The oracles here deliberately avoid the library's algorithms: reachability is
 a plain DFS, decompositions come from enumerating set partitions, and spans
-are compared through numpy rank computations on stacked matrices.
+are compared through numpy rank computations on stacked matrices. Affine
+hulls (``affine_hull``, an ``AffineFlat`` each), their intersections
+(``intersect_affine``) and the distance between two flats
+(``subspace_distance``) check the simplex face identities. The directed
+cycle and path (``cycle_graph``, ``path_graph``) are built here.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from formctl.configspace import (
-    AffineSubspace,
     Configuration,
     _rank_of,
     find_nondegenerate_simplex,
@@ -32,8 +35,6 @@ from formctl.digraph import (
 )
 from formctl.dynamics import Trajectory, expm
 from formctl.errors import (
-    DimensionMismatch,
-    EmptyInput,
     InvalidIndices,
     NotInControllableSet,
     SizeMismatch,
@@ -45,6 +46,16 @@ from formctl.liealg import EdgeGenerator, ZeroRowSumMatrix
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+def cycle_graph(n: int) -> Digraph:
+    """The directed cycle 1 -> 2 -> ... -> n -> 1."""
+    return Digraph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def path_graph(n: int) -> Digraph:
+    """The directed path 1 -> 2 -> ... -> n."""
+    return Digraph(n, [(i, i + 1) for i in range(1, n)])
 
 
 def random_connected_digraph(rng: random.Random, n: int, extra: float = 0.3) -> Digraph:
@@ -296,7 +307,7 @@ def stacked_field_rank(p, g: Digraph, tol: float = 1e-9) -> int:
     cols = []
     for i, j in sorted(edge_reachability(g)):
         col = np.zeros(p.n * p.N)
-        col[np.arange(p.n) * p.N + (i - 1)] = p.agent(j) - p.agent(i)
+        col[np.arange(p.n) * p.N + (i - 1)] = p.agents[j - 1] - p.agents[i - 1]
         cols.append(col)
     if not cols:
         return 0
@@ -364,7 +375,7 @@ def witness_per_agent(p: Configuration, g: Digraph):
             attach("simplex", w, a, simplex, [k])
 
     for j in sorted(set(range(1, p.N + 1)).difference(*simplices.values())):
-        w = scd.component_of(j)
+        w = next(k for k, comp in enumerate(scd.components, 1) if j in comp)
         if w not in scd.maximal_set:
             # smallest-label maximal component that j reaches
             w = next(m for m in maximal if (j, scd.components[m - 1][0]) in reach)
@@ -509,22 +520,44 @@ def extended_matrix_rank(p: Configuration) -> int:
     return numeric_rank(xe)
 
 
-def intersect_affine(subspaces: Sequence[AffineSubspace]) -> AffineSubspace | None:
-    """Common intersection, or None when the subspaces share no point.
+class AffineFlat:
+    """The affine subspace base_point + span(basis), basis columns orthonormal."""
+
+    def __init__(self, base_point: np.ndarray, basis: np.ndarray):
+        self.base_point = base_point
+        self.basis = basis
+        self.ambient, self.dim = basis.shape
+
+    def distance(self, x) -> float:
+        d = np.asarray(x, dtype=float) - self.base_point
+        return float(np.linalg.norm(d - self.basis @ (self.basis.T @ d)))
+
+
+def affine_hull(points: Sequence) -> AffineFlat:
+    """Smallest flat containing the points; its dimension is their rank."""
+    pts = np.asarray(points, dtype=float)
+    u, s, _ = np.linalg.svd((pts[1:] - pts[0]).T, full_matrices=False)
+    return AffineFlat(pts[0], u[:, :_rank_of(s)])
+
+
+def subspace_distance(a: AffineFlat, b: AffineFlat) -> float:
+    """Zero iff the flats coincide: compares projectors and base points."""
+    gap = float(np.linalg.norm(a.basis @ a.basis.T - b.basis @ b.basis.T, 2))
+    return max(gap, a.distance(b.base_point), b.distance(a.base_point))
+
+
+def intersect_affine(subspaces: Sequence[AffineFlat]) -> AffineFlat | None:
+    """Common intersection, or None when the flats share no point.
 
     A candidate point from stacked least squares is accepted when its
-    distance to every subspace is at most 1e-8 * (1 + scale), with scale the
+    distance to every flat is at most 1e-8 * (1 + scale), with scale the
     largest coordinate magnitude involved. Besides the rank rule, that bound
     is the only threshold the result depends on.
     """
     subs = list(subspaces)
     if not subs:
-        raise EmptyInput("intersect_affine needs at least one subspace")
+        raise ValueError("intersect_affine needs at least one flat")
     ambient = subs[0].ambient
-    for s in subs:
-        if s.ambient != ambient:
-            raise DimensionMismatch(
-                f"ambient dimensions differ: {s.ambient} vs {ambient}")
     # stack the normal-space conditions P_m (x - b_m) = 0
     projectors = [np.eye(ambient) - s.basis @ s.basis.T for s in subs]
     a = np.vstack(projectors)
@@ -538,7 +571,7 @@ def intersect_affine(subspaces: Sequence[AffineSubspace]) -> AffineSubspace | No
     _, sv, vt = np.linalg.svd(a, full_matrices=False)
     dim = ambient - _rank_of(sv)
     basis = vt[ambient - dim:].T if dim else np.zeros((ambient, 0))
-    return AffineSubspace(x, basis)
+    return AffineFlat(x, basis)
 
 
 # -- file format halves the library itself never needs ---------------------

@@ -21,13 +21,11 @@ import pytest
 
 from formctl.configspace import (
     Configuration,
-    affine_hull,
     configuration_rank,
     extend_simplex_with_point,
     in_controllable_set,
     local_chart,
     sample_configuration,
-    subspace_distance,
 )
 from formctl.digraph import (
     Digraph,
@@ -56,6 +54,8 @@ from formctl.liealg import (
     span_equal,
 )
 from helpers import (
+    affine_hull,
+    cycle_graph,
     extended_matrix_rank,
     intersect_affine,
     minimum_scd_partitions,
@@ -63,6 +63,7 @@ from helpers import (
     random_connected_digraph,
     sink_component_graph,
     structural_bracket,
+    subspace_distance,
     verify_scd_closure_commutation,
 )
 
@@ -217,7 +218,7 @@ def test_criterion_05_minimal_strongly_connected_full_dimension():
     with criterion(5, label):
         for n in (1, 2, 3):
             N = n + 1
-            for g in (Digraph.cycle(N), Digraph.complete(N)):
+            for g in (cycle_graph(N), Digraph.complete(N)):
                 for trial in range(25):
                     p = _nondegenerate_sample(n, N, seed=1000 * n + trial)
                     report = lie_algebra_at(p, g)
@@ -345,7 +346,7 @@ def test_criterion_09_affine_identities_and_simplex_extension():
             for trial in range(100):
                 p = sample_configuration(n, n + 1, kind="rank_k", k=n,
                                          seed=910 + 1000 * n + trial)
-                faces = {i: affine_hull([p.agent(j) for j in range(1, n + 2)
+                faces = {i: affine_hull([p.agents[j - 1] for j in range(1, n + 2)
                                          if j != i])
                          for i in range(1, n + 2)}
                 all_idx = set(range(1, n + 2))
@@ -353,14 +354,14 @@ def test_criterion_09_affine_identities_and_simplex_extension():
                     for chosen in combinations(sorted(all_idx), r):
                         inter = intersect_affine([faces[i] for i in chosen])
                         rest = sorted(all_idx - set(chosen))
-                        hull = affine_hull([p.agent(j) for j in rest])
+                        hull = affine_hull([p.agents[j - 1] for j in rest])
                         assert inter is not None
                         assert subspace_distance(inter, hull) <= 1e-8
                 for i in range(1, n + 2):
                     others = [faces[j] for j in sorted(all_idx - {i})]
                     vertex = intersect_affine(others)
                     assert vertex is not None and vertex.dim == 0
-                    assert np.linalg.norm(vertex.base_point - p.agent(i)) <= 1e-8
+                    assert np.linalg.norm(vertex.base_point - p.agents[i - 1]) <= 1e-8
                 assert intersect_affine(list(faces.values())) is None
                 x = rng.standard_normal(n)
                 kept = extend_simplex_with_point(p, x)
@@ -373,9 +374,9 @@ def test_criterion_10_flow_exactness():
         p = Configuration.from_agents([[2.5], [-1.0]])
         for h in (0.1, 0.9, 2.3):
             q = flow_constant(g, {(1, 2): 1.0}, p, h)
-            expect = p.agent(2) + (p.agent(1) - p.agent(2)) * math.exp(-h)
-            assert abs(q.agent(1)[0] - expect[0]) <= 1e-10
-            assert q.agent(2)[0] == p.agent(2)[0]
+            expect = p.agents[1] + (p.agents[0] - p.agents[1]) * math.exp(-h)
+            assert abs(q.agents[0][0] - expect[0]) <= 1e-10
+            assert q.agents[1][0] == p.agents[1][0]
         rng = np.random.default_rng(1000)
         for _ in range(50):
             N = int(rng.integers(3, 6))

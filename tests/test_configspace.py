@@ -1,4 +1,4 @@
-"""Rank, stratum, chart, simplex, and affine-hull tests."""
+"""Rank, stratum, chart and simplex tests, and the affine-hull oracles'."""
 
 from __future__ import annotations
 
@@ -13,11 +13,8 @@ from hypothesis import strategies as st
 
 from formctl.configspace import (
     _OVERFLOW,
-    AffineSubspace,
     Configuration,
     _stacked_rank,
-    affine_hull,
-    component_sign,
     configuration_rank,
     extend_simplex_with_point,
     find_nondegenerate_simplex,
@@ -30,16 +27,21 @@ from formctl.configspace import (
     parse_configuration_csv,
     parse_configuration_json,
     sample_configuration,
-    subspace_distance,
 )
 from formctl import configspace
 from formctl.digraph import Digraph, coarse_scd
 from formctl.larc import lie_algebra_at
-from helpers import extended_matrix_rank, greedy_simplex, intersect_affine, rank_k_near
+from helpers import (
+    affine_hull,
+    cycle_graph,
+    extended_matrix_rank,
+    greedy_simplex,
+    intersect_affine,
+    rank_k_near,
+    subspace_distance,
+)
 from formctl.errors import (
     Degenerate,
-    DimensionMismatch,
-    EmptyInput,
     EmptySubset,
     IndexOutOfRange,
     InputFormatError,
@@ -59,12 +61,6 @@ class TestConfiguration:
         p = config([[1, 4], [2, 5], [3, 6]])
         assert p.coords.tolist() == [1, 2, 3, 4, 5, 6]
         assert p.agents.tolist() == [[1, 4], [2, 5], [3, 6]]
-
-    def test_agent_accessor(self):
-        p = config([[1, 4], [2, 5], [3, 6]])
-        assert p.agent(2).tolist() == [2, 5]
-        with pytest.raises(IndexOutOfRange):
-            p.agent(4)
 
     def test_round_trip_is_bijective(self):
         rng = np.random.default_rng(0)
@@ -95,11 +91,6 @@ class TestConfiguration:
     def test_rejects_counts_that_are_not_python_ints(self, n, N):
         with pytest.raises(SizeMismatch):
             Configuration(n, N, [0.0, 1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("i", [1.5, 2.0, True, np.int64(2)])
-    def test_agent_accessor_refuses_non_int_index(self, i):
-        with pytest.raises(IndexOutOfRange):
-            config([[1, 4], [2, 5], [3, 6]]).agent(i)
 
     def test_subconfiguration(self):
         p = config([[0, 0], [1, 0], [2, 0], [3, 0]])
@@ -149,22 +140,17 @@ class TestRanks:
             configuration_rank(p, ["1", 2])
         with pytest.raises(IndexOutOfRange):  # not merged into agent 1
             configuration_rank(p, [1, True])
+        for i in (2.0, np.int64(2)):  # equal to an agent, but not a Python int
+            with pytest.raises(IndexOutOfRange):
+                configuration_rank(p, [i])
 
     @pytest.mark.parametrize("call", [
         lambda: Configuration(2, 1, [np.nan, 0.0]),
         lambda: numeric_rank(np.array([[np.nan, 0.0], [1.0, 1.0]])),
         lambda: numeric_rank(np.array([[np.inf, 0.0], [1.0, 1.0]])),
         lambda: extend_simplex_with_point(config([[0, 0], [1, 0], [0, 1]]), [np.nan, 0.0]),
-        lambda: affine_hull([[0.0, 0.0], [np.nan, 1.0]]),
-        lambda: affine_hull([[0.0, 0.0], [np.inf, 1.0]]),
-        lambda: AffineSubspace([np.nan, 0.0], [[1.0], [0.0]]),
-        lambda: AffineSubspace([np.inf, 0.0], [[1.0], [0.0]]),
-        lambda: AffineSubspace([0.0, 0.0], [[np.nan], [0.0]]),
-        lambda: affine_hull([[np.nan, 0.0]]),
         lambda: numeric_rank(np.array([[1.5e308], [1.5e308]])),  # its norm overflows
-    ], ids=["Configuration", "rank-nan", "rank-inf", "extend-nan", "hull-nan", "hull-inf",
-            "subspace-nan", "subspace-inf", "subspace-basis-nan", "hull-point-nan",
-            "rank-overflow"])
+    ], ids=["Configuration", "rank-nan", "rank-inf", "extend-nan", "rank-overflow"])
     def test_non_finite_input_is_refused_like_a_configuration(self, call):
         with pytest.raises(SizeMismatch, match="must be finite"):
             call()
@@ -281,7 +267,7 @@ class TestControllableSetMembership:
         assert rep
 
     def test_strongly_connected_whole_graph(self):
-        scd = coarse_scd(Digraph.cycle(3))
+        scd = coarse_scd(cycle_graph(3))
         assert in_controllable_set(config([[0, 0], [1, 0], [0, 1]]), scd)
 
     def test_size_mismatch(self):
@@ -543,23 +529,14 @@ class TestAffineHulls:
     def test_hyperplane_from_simplex_face(self):
         for n in (2, 3):
             p = sample_configuration(n, n + 1, "rank_k", k=n, seed=4)
-            face = [p.agent(i) for i in range(2, n + 2)]
+            face = [p.agents[i - 1] for i in range(2, n + 2)]
             assert affine_hull(face).dim == n - 1
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            affine_hull([])
-
-    def test_subspace_api(self):
-        h = affine_hull([[0, 0], [2, 0]])
-        assert h.distance([1.0, 3.0]) == pytest.approx(3.0)
-        assert h.project([1.0, 3.0]).tolist() == [1.0, 0.0]
 
 
 class TestAffineIntersection:
     def faces(self, p: Configuration):
         N = p.N
-        return {i: affine_hull([p.agent(j) for j in range(1, N + 1) if j != i])
+        return {i: affine_hull([p.agents[j - 1] for j in range(1, N + 1) if j != i])
                 for i in range(1, N + 1)}
 
     def test_all_but_one_meet_in_vertex(self):
@@ -569,7 +546,7 @@ class TestAffineIntersection:
             for i in range(1, n + 2):
                 inter = intersect_affine([s[j] for j in range(1, n + 2) if j != i])
                 assert inter is not None and inter.dim == 0
-                assert np.linalg.norm(inter.base_point - p.agent(i)) < 1e-8
+                assert np.linalg.norm(inter.base_point - p.agents[i - 1]) < 1e-8
 
     def test_all_faces_have_empty_intersection(self):
         for n in (2, 3):
@@ -586,12 +563,6 @@ class TestAffineIntersection:
         b = affine_hull([[0, 1], [1, 1]])
         assert intersect_affine([a, b]) is None
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            intersect_affine([affine_hull([[0, 0]]), affine_hull([[0, 0, 0]])])
-        with pytest.raises(EmptyInput):
-            intersect_affine([])
-
     @given(st.integers(2, 3), st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_face_intersections_match_hulls(self, n, seed):
@@ -602,45 +573,9 @@ class TestAffineIntersection:
             for chosen in combinations(sorted(all_idx), r):
                 inter = intersect_affine([s[i] for i in chosen])
                 rest = sorted(all_idx - set(chosen))
-                hull = affine_hull([p.agent(j) for j in rest])
+                hull = affine_hull([p.agents[j - 1] for j in rest])
                 assert inter is not None
                 assert subspace_distance(inter, hull) < 1e-8
-
-
-class TestComponentSign:
-    def test_identity_orientation(self):
-        assert component_sign(config([[0, 0], [1, 0], [0, 1]])) == 1
-
-    def test_swapped_orientation(self):
-        assert component_sign(config([[0, 0], [0, 1], [1, 0]])) == -1
-
-    def test_mirror_flips(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            p = sample_configuration(3, 4, "rank_k", k=3, seed=int(rng.integers(1e6)))
-            mirrored = p.agents.copy()
-            mirrored[:, 0] *= -1
-            assert component_sign(Configuration.from_agents(mirrored)) == \
-                -component_sign(p)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(Degenerate):
-            component_sign(config([[0, 0], [1, 0], [2, 0]]))
-
-    def test_wrong_agent_count(self):
-        with pytest.raises(SizeMismatch):
-            component_sign(config([[0, 0], [1, 0]]))
-
-    def test_constant_along_rigid_motions(self):
-        p = sample_configuration(2, 3, "rank_k", k=2, seed=5)
-        base_sign = component_sign(p)
-        for t in np.linspace(0.0, 1.0, 50):
-            theta = t * 2 * np.pi
-            rot = np.array([[np.cos(theta), -np.sin(theta)],
-                            [np.sin(theta), np.cos(theta)]])
-            shift = np.array([3.0 * t, -2.0 * t])
-            moved = Configuration.from_agents(p.agents @ rot.T + shift)
-            assert component_sign(moved) == base_sign
 
 
 class TestSampling:

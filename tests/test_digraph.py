@@ -21,11 +21,13 @@ from formctl.digraph import (
 from formctl.errors import InputFormatError, InvalidIndices, NotWeaklyConnected
 
 from helpers import (
+    cycle_graph,
     digraphs,
     edge_reachability,
     format_graph_text,
     is_weakly_connected,
     minimum_scd_partitions,
+    path_graph,
     random_connected_digraph,
     skeleton_sinks,
     verify_scd_closure_commutation,
@@ -99,7 +101,7 @@ class TestWeakConnectivity:
         assert coarse_scd(Digraph(1)).components == ((1,),)
 
     def test_directed_path_counts(self):
-        assert coarse_scd(Digraph.path(4)).components == ((1,), (2,), (3,), (4,))
+        assert coarse_scd(path_graph(4)).components == ((1,), (2,), (3,), (4,))
 
     def test_connected_only_through_the_last_dfs_tree(self):
         # DFS from 1 and from 2 finds nothing; vertex 3's tree joins both
@@ -123,12 +125,12 @@ class TestWeakConnectivity:
 
 class TestCoarseScd:
     def test_cycle_is_one_component(self):
-        scd = coarse_scd(Digraph.cycle(5))
+        scd = coarse_scd(cycle_graph(5))
         assert scd.components == ((1, 2, 3, 4, 5),)
         assert scd.maximal_set == {1}
 
     def test_path_gives_singletons(self):
-        scd = coarse_scd(Digraph.path(4))
+        scd = coarse_scd(path_graph(4))
         assert scd.components == ((1,), (2,), (3,), (4,))
         assert scd.skeleton.edges == {(1, 2), (2, 3), (3, 4)}
         assert scd.maximal_set == {4}
@@ -143,14 +145,6 @@ class TestCoarseScd:
         assert scd.components == ((1, 2, 3), (4, 5, 6))
         assert scd.skeleton.edges == {(1, 2)}
         assert scd.maximal_set == {2}
-        assert scd.component_of(2) == 1
-        assert scd.component_of(5) == 2
-
-    @pytest.mark.parametrize("vertex", [0, -1, 7, 1.0, True])
-    def test_component_of_refuses_a_vertex_out_of_range(self, vertex):
-        scd = coarse_scd(Digraph(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (3, 4)]))
-        with pytest.raises(InvalidIndices):
-            scd.component_of(vertex)
 
     def test_component_labels_follow_smallest_vertex(self):
         g = Digraph(5, [(5, 4), (4, 5), (4, 1), (1, 2), (2, 1), (2, 3)])
@@ -214,18 +208,18 @@ class TestCoarseScd:
 
 class TestTransitiveClosure:
     def test_path(self):
-        closed = transitive_closure(Digraph.path(4))
+        closed = transitive_closure(path_graph(4))
         assert closed.edges == {(i, j) for i in range(1, 5) for j in range(i + 1, 5)}
 
     def test_cycle_becomes_complete(self):
-        assert transitive_closure(Digraph.cycle(4)) == Digraph.complete(4)
+        assert transitive_closure(cycle_graph(4)) == Digraph.complete(4)
 
     def test_handles_disconnected_input(self):
         closed = transitive_closure(Digraph(4, [(1, 2), (3, 4)]))
         assert closed.edges == {(1, 2), (3, 4)}
 
     def test_no_self_loops_even_on_cycles(self):
-        closed = transitive_closure(Digraph.cycle(3))
+        closed = transitive_closure(cycle_graph(3))
         assert all(i != j for i, j in closed.edges)
 
     @given(digraphs(min_n=1, max_n=7, connected=False))
@@ -287,7 +281,7 @@ class TestStructuralVerdict:
         assert v.offending_components == (1, 2)
 
     def test_dimension_one_path(self):
-        v = structural_verdict(Digraph.cycle(3), n=1)
+        v = structural_verdict(cycle_graph(3), n=1)
         assert v.kind is StructuralKind.GENERICALLY_CONTROLLABLE
 
     def test_rejects_bad_dimension(self):

@@ -40,7 +40,7 @@ from formctl.errors import (
     UnknownEdge,
 )
 
-from helpers import forward_jacobian, parse_trajectory_csv
+from helpers import cycle_graph, forward_jacobian, parse_trajectory_csv, path_graph
 
 
 # every time grid refuses a time that is not finite as it does one out of order
@@ -61,7 +61,7 @@ class TestGraphSchedule:
         assert s.switch_times == ()
 
     def test_right_continuous_at_switch(self):
-        g1, g2 = Digraph.cycle(3), Digraph.complete(3)
+        g1, g2 = cycle_graph(3), Digraph.complete(3)
         s = GraphSchedule(((0.0, g1), (0.5, g2)), 1.0)
         assert s.active(0.5 - 1e-9) is g1
         assert s.active(0.5) is g2
@@ -69,39 +69,39 @@ class TestGraphSchedule:
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(InconsistentSchedule):
-            GraphSchedule(((0.0, Digraph.cycle(3)),), 0.0)
+            GraphSchedule(((0.0, cycle_graph(3)),), 0.0)
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     def test_rejects_non_finite_horizon(self, horizon):
         with pytest.raises(InconsistentSchedule, match="finite"):
-            GraphSchedule(((0.0, Digraph.cycle(3)),), horizon)
+            GraphSchedule(((0.0, cycle_graph(3)),), horizon)
 
     def test_rejects_nonzero_first_start(self):
         with pytest.raises(InconsistentSchedule):
-            GraphSchedule(((0.1, Digraph.cycle(3)),), 1.0)
+            GraphSchedule(((0.1, cycle_graph(3)),), 1.0)
 
     def test_rejects_unsorted_starts(self):
-        g = Digraph.cycle(3)
+        g = cycle_graph(3)
         with pytest.raises(InconsistentSchedule):
             GraphSchedule(((0.0, g), (0.5, g), (0.5, g)), 1.0)
 
     def test_rejects_start_at_horizon(self):
-        g = Digraph.cycle(3)
+        g = cycle_graph(3)
         with pytest.raises(InconsistentSchedule):
             GraphSchedule(((0.0, g), (1.0, g)), 1.0)
 
     @pytest.mark.parametrize("t", NON_FINITE, ids=str)
     def test_rejects_start_times_that_are_not_finite(self, t):
-        g = Digraph.cycle(3)
+        g = cycle_graph(3)
         with pytest.raises(InconsistentSchedule, match=FINITE_AND_INCREASING):
             GraphSchedule(((0.0, g), (t, g), (0.5, g)), 1.0)
 
     def test_rejects_mixed_vertex_counts(self):
         with pytest.raises(InconsistentSchedule):
-            GraphSchedule(((0.0, Digraph.cycle(3)), (0.5, Digraph.cycle(4))), 1.0)
+            GraphSchedule(((0.0, cycle_graph(3)), (0.5, cycle_graph(4))), 1.0)
 
     def test_active_outside_horizon(self):
-        s = GraphSchedule.constant(Digraph.cycle(3), 1.0)
+        s = GraphSchedule.constant(cycle_graph(3), 1.0)
         with pytest.raises(InconsistentSchedule):
             s.active(1.5)
 
@@ -168,9 +168,9 @@ class TestFlowConstant:
         g, p = two_agent_line()
         for h in (0.0, 0.3, 1.7):
             q = flow_constant(g, {(1, 2): 1.0}, p, h)
-            expect = p.agent(2) + (p.agent(1) - p.agent(2)) * math.exp(-h)
-            assert np.allclose(q.agent(1), expect, atol=1e-12)
-            assert np.array_equal(q.agent(2), p.agent(2))
+            expect = p.agents[1] + (p.agents[0] - p.agents[1]) * math.exp(-h)
+            assert np.allclose(q.agents[0], expect, atol=1e-12)
+            assert np.array_equal(q.agents[1], p.agents[1])
 
     def test_zero_control_returns_input_unchanged(self):
         g, p = two_agent_line()
@@ -451,7 +451,7 @@ class TestSimulate:
         ((), (0.0, 0.3, 0.6, 0.3 * 3), 0.9),   # grid end 1.1e-16 short of the horizon
     ])
     def test_breakpoints_are_the_validated_grid(self, switches, grid, horizon):
-        g1, g2 = Digraph.cycle(3), Digraph(3, [(1, 3), (2, 1), (3, 2)])
+        g1, g2 = cycle_graph(3), Digraph(3, [(1, 3), (2, 1), (3, 2)])
         segments = ((0.0, g1),) + tuple((t, g2) for t in switches)
         sched = GraphSchedule(segments, horizon)
         values = tuple({sorted(sched.active(t).edges)[0]: 0.7} for t in grid[:-1])
@@ -937,7 +937,7 @@ class TestTrackPath:
 
     def test_structural_gate(self):
         g = Digraph(3, [(1, 2), (2, 3), (3, 1), (1, 3)])
-        sched = GraphSchedule.constant(Digraph.path(3), 1.0)
+        sched = GraphSchedule.constant(path_graph(3), 1.0)
         del g
         rng = np.random.default_rng(1)
         w0 = Configuration.from_agents(rng.normal(size=(3, 2)))
@@ -1057,7 +1057,7 @@ class TestFileFormats:
                 ' "agents": [[0.5, 0.5], [1.5, 1.5]]}}]')
         wps = parse_waypoints(text, base_dir=str(tmp_path))
         assert [t for t, _ in wps] == [0.0, 1.0]
-        assert np.allclose(wps[1][1].agent(2), [1.5, 1.5])
+        assert np.allclose(wps[1][1].agents[1], [1.5, 1.5])
 
     def test_waypoints_reject_bad(self):
         with pytest.raises(InputFormatError):

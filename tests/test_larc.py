@@ -38,10 +38,12 @@ from formctl.liealg import EdgeGenerator, ZeroRowSumMatrix, bracket
 
 from helpers import (
     border_source_k4,
+    cycle_graph,
     digraphs,
     far_source_k4,
     larc_per_agent,
     lift_block_diagonal,
+    path_graph,
     random_connected_digraph,
     random_zero_row_sum,
     sink_component_graph,
@@ -85,7 +87,7 @@ class TestLift:
     def test_lifted_field_evaluate(self):
         # every witness vector is the lifted field D(A_ij) p of its edge
         p = sample_configuration(2, 4, "rank_k", k=2, seed=9)
-        wb = construct_witness_basis(p, Digraph.cycle(4))
+        wb = construct_witness_basis(p, cycle_graph(4))
         for v in wb.vectors:
             expected = lift_block_diagonal(EdgeGenerator(*v.edge, 4).dense(), 2) @ p.coords
             assert np.allclose(v.values, expected)
@@ -103,24 +105,24 @@ class TestLieAlgebraAt:
 
     def test_coincident_agents(self):
         p = Configuration.from_agents([[2.0, 2.0]] * 4)
-        rep = lie_algebra_at(p, Digraph.cycle(4))
+        rep = lie_algebra_at(p, cycle_graph(4))
         assert rep.dimension == 0
         assert rep.per_agent_ranks == (0, 0, 0, 0)
         assert not rep.passes
 
     def test_collinear_bounded_by_agent_count(self):
         p = Configuration.from_agents([[float(i), 0.0] for i in range(5)])
-        rep = lie_algebra_at(p, Digraph.cycle(5))
-        assert rep.dimension == stacked_field_rank(p, Digraph.cycle(5))
+        rep = lie_algebra_at(p, cycle_graph(5))
+        assert rep.dimension == stacked_field_rank(p, cycle_graph(5))
         assert rep.dimension <= 5
         assert not rep.passes
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            lie_algebra_at(sample_configuration(2, 3, seed=0), Digraph.cycle(4))
+            lie_algebra_at(sample_configuration(2, 3, seed=0), cycle_graph(4))
 
     def test_report_bookkeeping(self):
-        g = Digraph.path(4)
+        g = path_graph(4)
         p = sample_configuration(2, 4, seed=5)
         rep = lie_algebra_at(p, g)
         assert rep.dimension == sum(rep.per_agent_ranks)
@@ -214,7 +216,8 @@ def sink_instances(draw):
     scd = coarse_scd(g)
     decades = draw(st.lists(st.integers(-12, 12), min_size=len(scd.components),
                             max_size=len(scd.components)))
-    scale = [10.0 ** decades[scd.component_of(i) - 1] for i in range(1, g.num_vertices + 1)]
+    label = {v: k for k, comp in enumerate(scd.components) for v in comp}
+    scale = [10.0 ** decades[label[i]] for i in range(1, g.num_vertices + 1)]
     pts = sample_configuration(n, g.num_vertices, seed=draw(st.integers(0, 10**6))).agents
     return g, Configuration.from_agents(pts * np.array(scale)[:, None])
 
@@ -271,7 +274,7 @@ class TestSufficiencyAndNecessity:
 
 class TestWitnessBasis:
     def make(self, seed=9):
-        g = Digraph.cycle(4)
+        g = cycle_graph(4)
         p = sample_configuration(2, 4, "rank_k", k=2, seed=seed)
         return p, g, construct_witness_basis(p, g)
 
@@ -337,7 +340,7 @@ class TestWitnessBasis:
             construct_witness_basis(p, g)
 
     def test_refuses_degenerate_configuration(self):
-        g = Digraph.cycle(4)
+        g = cycle_graph(4)
         p = Configuration.from_agents([[float(i), 0.0] for i in range(4)])
         with pytest.raises(NotInControllableSet):
             construct_witness_basis(p, g)
@@ -511,7 +514,7 @@ class TestWitnessOverflow:
 
 class TestSerialization:
     def test_witness_csv_shape(self):
-        g = Digraph.cycle(4)
+        g = cycle_graph(4)
         p = sample_configuration(2, 4, "rank_k", k=2, seed=9)
         wb = construct_witness_basis(p, g)
         lines = format_witness_csv(wb).strip().splitlines()

@@ -32,7 +32,7 @@ from formctl.liealg import (
     _offdiag_coords,
 )
 
-from helpers import GeneratorCombination, digraphs, structural_bracket
+from helpers import GeneratorCombination, cycle_graph, digraphs, path_graph, structural_bracket
 
 # exact arithmetic must never pass through a numpy cast or overflow
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -291,9 +291,9 @@ class TestIntRowEchelon:
 
 class TestLieClosure:
     def test_path_closure_dimension(self):
-        b = lie_closure(edge_generators(Digraph.path(4)))
+        b = lie_closure(edge_generators(path_graph(4)))
         assert b.dimension == 6
-        closed = transitive_closure(Digraph.path(4))
+        closed = transitive_closure(path_graph(4))
         assert b.dimension == len(closed.edges)
         target = LieBasis(4, [A(i, j, 4) for i, j in sorted(closed.edges)])
         assert span_equal(b, target)
@@ -316,7 +316,7 @@ class TestLieClosure:
             lie_closure([EdgeGenerator(1, 2, 3), EdgeGenerator(1, 2, 4)])
 
     def test_deterministic(self):
-        gens = edge_generators(Digraph.cycle(5))
+        gens = edge_generators(cycle_graph(5))
         b1 = lie_closure(gens)
         b2 = lie_closure(gens)
         assert all(x == y for x, y in zip(b1.elements, b2.elements))
@@ -344,15 +344,15 @@ class TestLieClosure:
             init(echelon, width)
 
         monkeypatch.setattr(IntRowEchelon, "__init__", counted)
-        b = lie_closure(edge_generators(Digraph.path(4)))
+        b = lie_closure(edge_generators(path_graph(4)))
         assert widths == [12]
         assert b.dimension == b._echelon.rank == 6
-        for i, j in transitive_closure(Digraph.path(4)).edges:
+        for i, j in transitive_closure(path_graph(4)).edges:
             assert span_contains(b, A(i, j, 4))
         assert not span_contains(b, A(2, 1, 4))
 
     def test_closure_is_a_fixed_point(self):
-        b = lie_closure(edge_generators(Digraph.path(4)))
+        b = lie_closure(edge_generators(path_graph(4)))
         again = lie_closure(list(b.elements))
         assert span_equal(b, again)
         assert again.dimension == b.dimension
