@@ -56,7 +56,7 @@ class Digraph:
     1..N. Bools, floats, strings, numpy integers and list pairs such as
     [1, 2] are refused with InvalidIndices, as are self-loops and vertices
     out of range; convert with int() and tuple() first. The closure and the
-    skeleton are built through this same constructor.
+    skeleton, made from a graph that passed it, skip it (``_unchecked``).
     """
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] = ()):
@@ -77,6 +77,13 @@ class Digraph:
         self.num_vertices = n
 
     @classmethod
+    def _unchecked(cls, num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Digraph":
+        """The graph on edges whose vertices come from a checked graph."""
+        g = cls.__new__(cls)
+        g.num_vertices, g.edges = num_vertices, frozenset(edges)
+        return g
+
+    @classmethod
     def complete(cls, n: int) -> "Digraph":
         """The complete digraph K_n: every ordered pair of distinct vertices."""
         return cls(n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
@@ -94,8 +101,8 @@ class Digraph:
         scd = self._scd
         labelled = zip(scd.components, scd.reach)
         # j != i drops the vertex itself, whether or not it lies on a cycle
-        return Digraph(self.num_vertices, [(i, j) for comp, reached in labelled
-                                           for i in comp for j in reached if j != i])
+        return Digraph._unchecked(self.num_vertices, [
+            (i, j) for comp, reached in labelled for i in comp for j in reached if j != i])
 
     @_cached
     def _scd(self) -> "ScdReport":
@@ -254,9 +261,9 @@ class ScdReport:
     @_cached
     def skeleton(self) -> Digraph:
         owner = self._owner
-        return Digraph(len(self.components), {(owner[i], owner[j])
-                                              for i, nbrs in enumerate(self._adjacency, 1)
-                                              for j in nbrs if owner[i] != owner[j]})
+        return Digraph._unchecked(len(self.components), {
+            (owner[i], owner[j]) for i, nbrs in enumerate(self._adjacency, 1)
+            for j in nbrs if owner[i] != owner[j]})
 
     @_cached
     def maximal_set(self) -> frozenset[int]:

@@ -4,15 +4,16 @@ With controls held constant on an interval the state map is the exact flow
 p -> D(exp(h M)) p with M the weighted sum of edge generators, and D
 repeating a matrix once per coordinate. Only the small N-by-N exponential is
 ever formed, by one batched scaling-and-squaring Pade routine in numpy,
-which also gives the Frechet derivatives of the exponential when asked;
-simulate exponentiates all its sample intervals in one call. Steering
-composes these exact flows and solves the two-point problem by damped
-Gauss-Newton shooting on the stacked control values, splitting every
-segment in two while it misses the target. The exact Jacobian
+whose kept evaluation also gives the Frechet derivatives of the
+exponential; simulate exponentiates all its sample intervals in one call.
+Steering composes these exact flows and solves the two-point problem by
+damped Gauss-Newton shooting on the stacked control values, splitting
+every segment in two while it misses the target. The exact Jacobian
 comes in adjoint form, from the Frechet derivatives of each segment
-exponential along n N directions whatever the edge count, which share the
-segment's one Pade evaluation and one inverse of its denominator; every
-damped step tried at one Jacobian comes from a single thin SVD of it.
+exponential along n N directions whatever the edge count, which
+differentiate the forward pass's one Pade evaluation and one inverse of
+its denominator; every damped step tried at one Jacobian comes from a
+single thin SVD of it.
 Tracking replans leg by leg across graph switches.
 """
 
@@ -254,27 +255,34 @@ def expm(a: np.ndarray) -> np.ndarray:
         done = _pade_exp(flat[start:start + step])
         if done is None:
             return np.full(a.shape, np.nan)
-        out[start:start + step] = done[0]
+        out[start:start + step] = done.exp
     return out.reshape(a.shape)
 
 
-def _pade_exp(a: np.ndarray, e: np.ndarray | None = None) -> tuple | None:
-    """exp(A) for each matrix of the (B, n, n) stack a and, given the (B, D,
-    n, n) stack e, L(A, E), the Frechet derivative of exp at A along each of
-    its D directions per matrix (else None); None if a is not finite.
+class _Pade(NamedTuple):
+    """One evaluation of exp over a (B, n, n) stack, kept for _frechet."""
+    squarings: np.ndarray  # (B,) k, each matrix A scaled to 2^-k A
+    coefs: np.ndarray      # b_0 .. b_m of the one Pade degree used
+    scaled: np.ndarray     # (B, n, n) 2^-k A
+    powers: np.ndarray     # (m // 2, B, n, n) its even powers A^2, A^4, ...
+    w: np.ndarray          # (B, n, n) W, with U = A W
+    r_u: np.ndarray        # (B, n, n) U q^-1
+    q_inv: np.ndarray      # (B, n, n) q^-1
+    squares: tuple         # R before squaring k, of the matrices with k < squarings
+    exp: np.ndarray        # (B, n, n) exp(A)
 
-    Scaling and squaring (Higham 2005) with the derivatives riding along
-    (Al-Mohy & Higham 2009, Algorithm 6.4). Each matrix and its directions
-    are scaled by an exact power of two 2^-k, chosen from A alone, to 1-norm
-    at most _SUBSTEP_NORM; one Pade degree, the lowest accurate at the
-    stack's largest scaled norm, gives U, V and their derivatives L_U, L_V
-    for all of them. With q = V - U, r = I + 2 U q^-1 (U and q commute), so
-    a zero row of A (an agent without outgoing controls) stays an exact
-    identity row, and L_r = 2 (L_U + U q^-1 (L_U - L_V)) q^-1 shares the one
-    inverse of q; numpy's batched solve with the 2D + 1 blocks as right-hand
-    sides took 0.44 ms where the inverse and one product took 0.04 ms (eight
-    K8 segments, 2-core Xeon, one BLAS thread). Each squaring R <- R^2
-    takes L <- R L + L R.
+
+def _pade_exp(a: np.ndarray) -> _Pade | None:
+    """exp(A) for each matrix of the (B, n, n) stack a, with the intermediates
+    _frechet differentiates; None if a is not finite.
+
+    Scaling and squaring (Higham 2005): each matrix is scaled by an exact
+    power of two 2^-k to 1-norm at most _SUBSTEP_NORM, and one Pade degree,
+    the lowest accurate at the stack's largest scaled norm, serves them all.
+    U = A W with W = sum_k b_2k+1 A^2k and V = sum_k b_2k A^2k, each sum one
+    product of its coefficients with the stacked even powers. With q = V - U,
+    r = I + 2 U q^-1 (U and q commute), so a zero row of A (an agent without
+    outgoing controls) stays an exact identity row.
     """
     n = a.shape[-1]
     norms = (np.ones(n) @ np.abs(a)).max(axis=1)
@@ -285,60 +293,60 @@ def _pade_exp(a: np.ndarray, e: np.ndarray | None = None) -> tuple | None:
     largest = np.ldexp(norms, -squarings).max()
     # log2 rounds, so the largest scaled norm can sit a few ulps above theta_9
     b = next((b for theta, b in _PADE if largest <= theta), _PADE[-1][1])
-    scaled_e = None if e is None else np.ldexp(e, -squarings[:, None, None, None])
-    u, v, *derivs = _pade_terms(np.ldexp(a, -squarings[:, None, None]), b, scaled_e)
+    scaled = np.ldexp(a, -squarings[:, None, None])
+    powers = np.empty(((len(b) - 1) // 2,) + a.shape)
+    np.matmul(scaled, scaled, out=powers[0])
+    for k in range(1, len(powers)):
+        np.matmul(powers[k - 1], powers[0], out=powers[k])
+    w, v = _weighted(b[3::2], powers), _weighted(b[2::2], powers)
+    w.reshape(len(w), -1)[:, ::n + 1] += b[1]
+    v.reshape(len(v), -1)[:, ::n + 1] += b[0]
+    u = scaled @ w
     q_inv = np.linalg.inv(v - u)
     r_u = u @ q_inv
     r = 2 * r_u
     r.reshape(len(r), -1)[:, ::n + 1] += 1
-    frechet = None
-    if derivs:
-        l_u, l_v = derivs
-        frechet = 2 * ((l_u + r_u[:, None] @ (l_u - l_v)) @ q_inv[:, None])
+    squares = []
     for k in range(squarings.max()):
         sel = squarings > k
         rs = r[sel]
-        if frechet is not None:
-            fs = frechet[sel]
-            frechet[sel] = rs[:, None] @ fs + fs @ rs[:, None]
+        squares.append(rs)
         r[sel] = rs @ rs
-    return r, frechet
+    return _Pade(squarings, b, scaled, powers, w, r_u, q_inv, tuple(squares), r)
 
 
-def _pade_terms(a: np.ndarray, b: np.ndarray, e: np.ndarray | None = None) -> tuple:
-    """U and V of the Pade approximant with coefficients b for the (B, n, n) stack a.
+def _weighted(coefs: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] terms[k], as one product over the stacked terms."""
+    return np.dot(coefs, terms.reshape(len(terms), -1)).reshape(terms.shape[1:])
 
-    U = A W with W = sum_k b_2k+1 A^2k, and V = sum_k b_2k A^2k; each sum is
-    one product of its coefficients with the stacked even powers. Given a
-    (B, D, n, n) stack e of directions, the Frechet derivatives L_U and L_V
-    along each follow as well: the same sums over M_k, the derivatives of
-    the even powers, which obey the powers' recurrence A^2k = A^2k-2 A^2,
-    and L_U = A L_W + E W.
+
+def _frechet(pade: _Pade, e: np.ndarray) -> np.ndarray:
+    """L(A, E), the Frechet derivative of exp at each matrix A of pade along
+    each of its D directions in the (B, D, n, n) stack e.
+
+    Al-Mohy & Higham 2009, Algorithm 6.4, on pade's own intermediates, with
+    E scaled like A. The derivatives M_k of the even powers follow their
+    recurrence A^2k = A^2k-2 A^2; L_W and L_V are the same sums over M_k,
+    L_U = A L_W + E W, and L_r = 2 (L_U + U q^-1 (L_U - L_V)) q^-1 shares
+    the one inverse of q (numpy's batched solve with the 2D + 1 blocks as
+    right-hand sides took 0.44 ms, the inverse and one product 0.04 ms:
+    eight K8 segments, 2-core Xeon, one BLAS thread). Each squaring R <- R^2
+    takes L <- R L + L R.
     """
-    count = (len(b) - 1) // 2
-    n = a.shape[-1]
-    powers = np.empty((count,) + a.shape)
-    np.matmul(a, a, out=powers[0])
-    for k in range(1, count):
-        np.matmul(powers[k - 1], powers[0], out=powers[k])
-
-    def combine(coefs, terms, identity=None):
-        out = np.dot(coefs, terms.reshape(count, -1)).reshape(terms.shape[1:])
-        if identity is not None:
-            out.reshape(len(out), -1)[:, ::n + 1] += identity
-        return out
-
-    w, v = combine(b[3::2], powers, b[1]), combine(b[2::2], powers, b[0])
-    u = a @ w
-    if e is None:
-        return u, v
-    a_e = a[:, None]
-    derivs = np.empty((count,) + e.shape)
-    derivs[0] = a_e @ e + e @ a_e
-    for k in range(1, count):
+    a, powers = pade.scaled[:, None], pade.powers
+    e = np.ldexp(e, -pade.squarings[:, None, None, None])
+    derivs = np.empty((len(powers),) + e.shape)
+    derivs[0] = a @ e + e @ a
+    for k in range(1, len(powers)):
         derivs[k] = powers[k - 1][:, None] @ derivs[0] + derivs[k - 1] @ powers[0][:, None]
-    l_w, l_v = combine(b[3::2], derivs), combine(b[2::2], derivs)
-    return u, v, a_e @ l_w + e @ w[:, None], l_v
+    l_w, l_v = _weighted(pade.coefs[3::2], derivs), _weighted(pade.coefs[2::2], derivs)
+    l_u = a @ l_w + e @ pade.w[:, None]
+    frechet = 2 * ((l_u + pade.r_u[:, None] @ (l_u - l_v)) @ pade.q_inv[:, None])
+    for k, rs in enumerate(pade.squares):
+        sel = pade.squarings > k
+        fs = frechet[sel]
+        frechet[sel] = rs[:, None] @ fs + fs @ rs[:, None]
+    return frechet
 
 
 def _apply_transition(p: Configuration, e: np.ndarray) -> Configuration:
@@ -451,6 +459,7 @@ class SteerResult:
 
 class _ForwardPass(NamedTuple):
     hm: np.ndarray        # (S, N, N) segment exponents h M_s
+    pade: _Pade | None    # their one Pade evaluation; None if hm is not finite
     exps: np.ndarray      # (S, N, N) segment transitions E_s = exp(h M_s)
     states: np.ndarray    # (S + 1, n, N) states x_0 .. x_S
 
@@ -478,12 +487,13 @@ class _ShootingMap:
     def forward(self, theta: np.ndarray) -> _ForwardPass:
         S = self.segments
         hm = np.tensordot(theta.reshape(S, -1), self.h_generators, axes=1)
-        exps = expm(hm)
+        pade = _pade_exp(hm)
+        exps = np.full(hm.shape, np.nan) if pade is None else pade.exp
         states = np.empty((S + 1,) + self.x0.shape)
         states[0] = self.x0
         for s in range(S):
             states[s + 1] = states[s] @ exps[s].T
-        return _ForwardPass(hm, exps, states)
+        return _ForwardPass(hm, pade, exps, states)
 
     def jacobian(self, fwd: _ForwardPass) -> np.ndarray:
         """d x_S / d theta, one column per (segment, edge), rows as coords.
@@ -491,28 +501,27 @@ class _ShootingMap:
         Adjoint form (Giles 2008): entry (d, k) of x_S is lam^T E_s x with
         x = x_{s-1,d} and lam row k of the suffix product Suf_s = E_S ...
         E_{s+1}, so its derivative along hA_e is <L(hM_s^T, lam x^T), hA_e>
-        = h (G[i,j] - G[i,i]) for the edge e = (i, j), with L the Frechet
-        derivative of the exponential. Each segment's n N derivatives G, one
-        per direction lam x^T, however many edges the graph has, come from
-        the Pade routine that forms the exponentials (_pade_exp), with one
-        evaluation of hM_s^T and one inverse shared by all. Every lam
-        and x is first scaled by a power of two to largest entry in [1/2, 1),
-        and the scale is undone exactly on the result, which is linear in
-        lam x^T.
+        = <L(hM_s, x lam^T)^T, hA_e>, with L the Frechet derivative of the
+        exponential. Each segment's n N derivatives along x lam^T, however
+        many edges the graph has, differentiate the forward pass's own Pade
+        evaluation of hM_s (_frechet), so no segment exponential is formed
+        twice. Every lam and x is first scaled by a power of two to largest
+        entry in [1/2, 1), and the scale is undone exactly on the result,
+        which is linear in x lam^T.
         """
         S, (n, N) = self.segments, self.x0.shape
+        if fwd.pade is None:  # a generator that is not finite gives no Jacobian
+            return np.full((n * N, S * len(self.h_generators)), np.nan)
         suffix = np.empty_like(fwd.exps)
         suffix[-1] = np.eye(N)
         for s in range(S - 1, 0, -1):
             suffix[s - 1] = suffix[s] @ fwd.exps[s]
         lam, lam_exp = _unit_rows(suffix)
         x, x_exp = _unit_rows(fwd.states[:-1])
-        directions = lam[:, None, :, :, None] * x[:, :, None, None, :]
-        done = _pade_exp(fwd.hm.transpose(0, 2, 1), directions.reshape(S, n * N, N, N))
-        if done is None:  # a generator that is not finite gives no Jacobian
-            return np.full((n * N, S * len(self.h_generators)), np.nan)
-        cols = np.tensordot(done[1].reshape(directions.shape), self.h_generators,
-                            axes=([3, 4], [1, 2]))
+        directions = x[:, :, None, :, None] * lam[:, None, :, None, :]
+        frechet = _frechet(fwd.pade, directions.reshape(S, n * N, N, N))
+        cols = np.tensordot(frechet.reshape(directions.shape), self.h_generators,
+                            axes=([3, 4], [2, 1]))
         cols = np.ldexp(cols, (lam_exp[:, None, :] + x_exp[:, :, None])[..., None])
         return cols.transpose(1, 2, 0, 3).reshape(n * N, -1)
 

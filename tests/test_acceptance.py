@@ -17,7 +17,6 @@ from itertools import combinations
 from time import perf_counter
 
 import numpy as np
-import pytest
 
 from formctl.configspace import (
     Configuration,

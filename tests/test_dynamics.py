@@ -338,7 +338,7 @@ class TestExpm:
     def test_frechet_derivatives_match_scipy(self, norm):
         linalg = pytest.importorskip("scipy.linalg")
         hm, e = frechet_case(norm)
-        got = dynamics._pade_exp(hm, e)[1]
+        got = dynamics._frechet(dynamics._pade_exp(hm), e)
         for s in range(len(hm)):
             for d in range(e.shape[1]):
                 ref = linalg.expm_frechet(hm[s], e[s, d], compute_expm=False)
@@ -348,7 +348,7 @@ class TestExpm:
     def test_scaled_frechet_matches_high_precision_reference(self, norm):
         mpmath = pytest.importorskip("mpmath")
         hm, e = frechet_case(norm)
-        got = dynamics._pade_exp(hm, e)[1]
+        got = dynamics._frechet(dynamics._pade_exp(hm), e)
         for s in range(len(hm)):
             for d in range(e.shape[1]):
                 block = np.block([[hm[s], e[s, d]], [np.zeros((4, 4)), hm[s]]])
@@ -359,11 +359,16 @@ class TestExpm:
 
     @pytest.mark.parametrize("norm", PADE_NORMS)
     def test_exponential_with_directions_is_expm(self, norm):
-        # the Jacobian's Pade call forms the same exponentials as the flow's
+        # the Jacobian differentiates the flow's own evaluation, whose
+        # exponentials are expm's, bit for bit
         hm, e = frechet_case(norm)
-        exps, frechet = dynamics._pade_exp(hm, e)
-        assert frechet.shape == e.shape
-        assert np.array_equal(exps, dynamics.expm(hm))
+        shooting = dynamics._ShootingMap(Digraph.complete(4), np.ones((2, 4)), len(hm), 1.0)
+        shooting.h_generators = hm      # control 1 on generator s in segment s
+        fwd = shooting.forward(np.eye(len(hm)).reshape(-1))
+        assert np.array_equal(fwd.hm, hm)
+        assert fwd.exps is fwd.pade.exp
+        assert np.array_equal(fwd.exps, dynamics.expm(hm))
+        assert dynamics._frechet(fwd.pade, e).shape == e.shape
 
     @pytest.mark.parametrize("norm", PADE_NORMS)
     def test_agent_without_controls_stays_fixed_exactly(self, norm):
@@ -679,21 +684,26 @@ class TestSteer:
         assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(central))
 
     def test_expm_calls_and_jacobian_work_do_not_grow_with_edges(self, monkeypatch):
-        # every trial's forward pass makes one expm call for the segment
-        # flows, which is one Pade call; a Jacobian differentiates the S
-        # segment exponentials along n N directions in one more Pade call,
-        # and is formed once at the start and once per accepted step, except
-        # where the residual meets the tolerance
-        flows, pades, trials = [], [], []
-        expm, pade_exp, evaluate = dynamics.expm, dynamics._pade_exp, dynamics._evaluate
+        # every trial's forward pass makes one Pade evaluation of the segment
+        # flows and no expm call; a Jacobian forms no exponential, but
+        # differentiates that evaluation along n N directions in one Frechet
+        # call, and is formed once at the start and once per accepted step,
+        # except where the residual meets the tolerance
+        flows, pades, frechets, trials = [], [], [], []
+        expm, pade_exp, frechet = dynamics.expm, dynamics._pade_exp, dynamics._frechet
+        evaluate = dynamics._evaluate
 
         def counted(a):
             flows.append(a.shape)
             return expm(a)
 
-        def counted_pade(a, e=None):
-            pades.append((a.shape, None if e is None else e.shape))
-            return pade_exp(a, e)
+        def counted_pade(a):
+            pades.append(a.shape)
+            return pade_exp(a)
+
+        def counted_frechet(pade, e):
+            frechets.append((pade.exp.shape, e.shape))
+            return frechet(pade, e)
 
         def recorded(shooting, target, theta, tolerance, bound):
             out = evaluate(shooting, target, theta, tolerance, bound)
@@ -702,26 +712,27 @@ class TestSteer:
 
         monkeypatch.setattr(dynamics, "expm", counted)
         monkeypatch.setattr(dynamics, "_pade_exp", counted_pade)
+        monkeypatch.setattr(dynamics, "_frechet", counted_frechet)
         monkeypatch.setattr(dynamics, "_evaluate", recorded)
         monkeypatch.setattr(dynamics, "_ROUNDS", 1)
         rejected = 0
         for N in (4, 6):
-            flows.clear()
             pades.clear()
+            frechets.clear()
             trials.clear()
             rng = np.random.default_rng(N)
             p0, p1 = (Configuration.from_agents(rng.normal(size=(N, 2))) for _ in range(2))
             result = steer(Digraph.complete(N), p0, p1, 3, 1.0)
-            assert flows == [(3, N, N)] * len(trials) == [(3, N, N)] * (result.iterations + 1)
+            assert pades == [(3, N, N)] * len(trials) == [(3, N, N)] * (result.iterations + 1)
+            assert flows == []
             jacobian = ((3, N, N), (3, 2 * N, N, N))
-            assert pades.count(((3, N, N), None)) == len(flows)
-            assert len(pades) == len(flows) + pades.count(jacobian)
+            assert set(frechets) <= {jacobian}
             accepted, current = 0, trials[0]
             for res in trials[1:]:
                 if res < current:
                     accepted, current = accepted + 1, res
             met = result.residual <= 1e-8
-            assert pades.count(jacobian) == 1 + accepted - met
+            assert len(frechets) == 1 + accepted - met
             rejected += result.iterations - accepted
         assert rejected > 0     # some trial was rejected and formed no Jacobian
 
@@ -759,9 +770,9 @@ class TestSteer:
         g, p0, p1 = tracked_pair()
         shooting = dynamics._ShootingMap(g, p0.coords.reshape(p0.n, p0.N), 3, 1.0 / 3)
         theta = np.random.default_rng(2).uniform(-0.5, 0.5, size=3 * len(g.edges))
+        shooting.h_generators[1, 0, 2] = bad    # every segment's exponent sees it
         fwd = shooting.forward(theta)
-        fwd.hm[1, 0, 2] = bad    # the states stay finite; only the Jacobian sees it
-        shooting.forward = lambda th: fwd
+        assert fwd.pade is None
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             jac = shooting.jacobian(fwd)

@@ -44,7 +44,6 @@ from helpers import (
     larc_per_agent,
     lift_block_diagonal,
     path_graph,
-    random_connected_digraph,
     random_zero_row_sum,
     sink_component_graph,
     stacked_field_rank,

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import random
 import warnings
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 import pytest
